@@ -39,27 +39,11 @@ def _reference_setup():
 
 
 def test_machine_reference_throughput(benchmark):
-    """Headline machine throughput on the table-compiled engine."""
-    config, workload = _reference_setup()
-    # Pay the one-time table-conformance verification outside the timing.
-    build_machine(config, workload, engine="compiled")
-
-    def run():
-        machine = build_machine(config, workload, engine="compiled")
-        machine.run(refs_per_proc=500)
-        return machine.results().total_refs
-
-    refs = benchmark(run)
-    assert refs == 2000
-
-
-def test_machine_reference_throughput_interpreted(benchmark):
-    """Same machine on the interpreted engine (the compiled engine's
-    reference point; results are bit-identical by the conformance pass)."""
+    """Headline machine throughput (the transition-table processor)."""
     config, workload = _reference_setup()
 
     def run():
-        machine = build_machine(config, workload, engine="interpreted")
+        machine = build_machine(config, workload)
         machine.run(refs_per_proc=500)
         return machine.results().total_refs
 
@@ -70,7 +54,7 @@ def test_machine_reference_throughput_interpreted(benchmark):
 def _dispatch_setup():
     # One processor, private pool fully cache-resident: after warm-up
     # every reference is a hit, so the measurement is (almost) pure
-    # protocol dispatch — the path the compiled kernel flattens.
+    # protocol dispatch — the transition table's fast path.
     workload = DuboisBriggsWorkload(
         n_processors=1, q=0.0, private_blocks_per_proc=16, locality=0.6,
         seed=9,
@@ -82,24 +66,11 @@ def _dispatch_setup():
     return config, workload
 
 
-def test_dispatch_hit_interpreted(benchmark):
-    config, workload = _dispatch_setup()
-
-    def run():
-        machine = build_machine(config, workload, engine="interpreted")
-        machine.run(refs_per_proc=2000, warmup_refs=100)
-        return machine.results().total_refs
-
-    refs = benchmark(run)
-    assert refs == 2000
-
-
 def test_dispatch_hit_compiled(benchmark):
     config, workload = _dispatch_setup()
-    build_machine(config, workload, engine="compiled")
 
     def run():
-        machine = build_machine(config, workload, engine="compiled")
+        machine = build_machine(config, workload)
         machine.run(refs_per_proc=2000, warmup_refs=100)
         return machine.results().total_refs
 

@@ -44,9 +44,7 @@ BENCH_TARGETS = [
 WORK_UNITS = {
     "test_kernel_event_throughput": ("events", 10_001),
     "test_machine_reference_throughput": ("refs", 2_000),
-    "test_machine_reference_throughput_interpreted": ("refs", 2_000),
     "test_machine_instrumented_throughput": ("refs", 2_000),
-    "test_dispatch_hit_interpreted": ("refs", 2_000),
     "test_dispatch_hit_compiled": ("refs", 2_000),
     # n=256 sparse fan-out run (peak-n regime of bench_scalability.py).
     "test_sparse_fanout_peak_n": ("refs", 15_360),

@@ -11,7 +11,9 @@ miss, once as the broadcast the refetch may trigger.
 Run:  python examples/cache_geometry.py
 """
 
-from repro import DuboisBriggsWorkload, MachineConfig, audit_machine, build_machine
+from repro import DuboisBriggsWorkload, MachineConfig
+from repro.system.builder import build_machine
+from repro.verification.audit import audit_machine
 from repro.stats.tables import Table
 
 N = 4

@@ -12,7 +12,9 @@ sharing parameter q had been raised.
 Run:  python examples/process_migration.py
 """
 
-from repro import MachineConfig, audit_machine, build_machine
+from repro import MachineConfig
+from repro.system.builder import build_machine
+from repro.verification.audit import audit_machine
 from repro.stats.tables import Table
 from repro.workloads.migration import MigratingWorkload
 

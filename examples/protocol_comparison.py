@@ -12,7 +12,9 @@ Run:  python examples/protocol_comparison.py [q] [w]
 
 import sys
 
-from repro import DuboisBriggsWorkload, MachineConfig, audit_machine, build_machine
+from repro import DuboisBriggsWorkload, MachineConfig
+from repro.system.builder import build_machine
+from repro.verification.audit import audit_machine
 from repro.stats.tables import Table
 
 SCHEMES = [

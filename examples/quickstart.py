@@ -9,13 +9,10 @@ and the coherence audit that every run should end with.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    DuboisBriggsWorkload,
-    MachineConfig,
-    audit_machine,
-    build_machine,
-    describe_machine,
-)
+from repro import DuboisBriggsWorkload, MachineConfig
+from repro.system.builder import build_machine
+from repro.system.topology import describe_machine
+from repro.verification.audit import audit_machine
 
 
 def main() -> None:

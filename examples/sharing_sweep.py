@@ -11,7 +11,9 @@ paper's conclusion that the economical directory is viable "with up to
 Run:  python examples/sharing_sweep.py
 """
 
-from repro import DuboisBriggsWorkload, MachineConfig, audit_machine, build_machine
+from repro import DuboisBriggsWorkload, MachineConfig
+from repro.system.builder import build_machine
+from repro.verification.audit import audit_machine
 from repro.analysis import PAPER_CASES, generate_threshold_table, per_cache_overhead
 from repro.stats.tables import Table
 

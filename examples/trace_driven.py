@@ -13,7 +13,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import MachineConfig, TraceWorkload, audit_machine, build_machine
+from repro import MachineConfig, TraceWorkload
+from repro.system.builder import build_machine
+from repro.verification.audit import audit_machine
 from repro.workloads.synthetic import DuboisBriggsWorkload
 from repro.workloads.traces import record, write_trace
 

@@ -11,13 +11,9 @@ modelling mode.
 Run:  python examples/translation_buffer.py
 """
 
-from repro import (
-    DuboisBriggsWorkload,
-    MachineConfig,
-    ProtocolOptions,
-    audit_machine,
-    build_machine,
-)
+from repro import DuboisBriggsWorkload, MachineConfig, ProtocolOptions
+from repro.system.builder import build_machine
+from repro.verification.audit import audit_machine
 from repro.stats.tables import Table
 
 N = 4

@@ -15,7 +15,9 @@ correct)".  This example tours the library's verification machinery:
 Run:  python examples/verification_demo.py
 """
 
-from repro import MachineConfig, UniformWorkload, audit_machine, build_machine
+from repro import MachineConfig, UniformWorkload
+from repro.system.builder import build_machine
+from repro.verification.audit import audit_machine
 from repro.workloads.reference import MemRef, Op
 from repro.workloads.synthetic import ScriptedWorkload
 

@@ -19,14 +19,12 @@ Quick start — the stable facade (see ``docs/api.md``)::
     )
 
 Lower-level building blocks (``MachineConfig``, workloads, the machine
-itself) remain importable for custom setups; the old module-level
-helpers ``build_machine`` / ``audit_machine`` / ``describe_machine`` /
-``render_topology`` are deprecated here in favour of the facade and
-their home modules, and warn on use.
+itself) remain importable for custom setups; machine assembly and
+inspection helpers live in their home modules
+(``repro.system.builder.build_machine``,
+``repro.verification.audit.audit_machine``,
+``repro.system.topology.describe_machine`` / ``render_topology``).
 """
-
-import importlib
-import warnings
 
 from repro.api import Experiment, RunOutcome, resume, run_point
 from repro.core import (
@@ -36,6 +34,7 @@ from repro.core import (
     TwoBitDirectoryController,
 )
 from repro.schema import SCHEMA_VERSION, SchemaMismatchError
+from repro.config import ConfigError
 from repro.system import (
     Machine,
     MachineConfig,
@@ -63,50 +62,11 @@ from repro.workloads import (
 
 __version__ = "1.0.0"
 
-#: Deprecated top-level helpers: name -> (home module, replacement hint).
-#: Kept importable (with a DeprecationWarning) for one release so
-#: existing scripts keep running; the facade or the home module is the
-#: supported spelling.
-_DEPRECATED = {
-    "build_machine": (
-        "repro.system.builder",
-        "Experiment(...).build() or repro.system.builder.build_machine",
-    ),
-    "audit_machine": (
-        "repro.verification.audit",
-        "Experiment(...).run() (audits automatically) or "
-        "repro.verification.audit.audit_machine",
-    ),
-    "describe_machine": (
-        "repro.system.topology",
-        "repro.system.topology.describe_machine",
-    ),
-    "render_topology": (
-        "repro.system.topology",
-        "repro.system.topology.render_topology",
-    ),
-}
-
-
-def __getattr__(name):
-    entry = _DEPRECATED.get(name)
-    if entry is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    module_name, replacement = entry
-    warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
     "AuditReport",
     "CoherenceOracle",
     "CoherenceViolation",
+    "ConfigError",
     "DuboisBriggsWorkload",
     "Experiment",
     "GlobalState",
@@ -128,11 +88,7 @@ __all__ = [
     "UniformWorkload",
     "Workload",
     "WorkloadSpecError",
-    "audit_machine",
-    "build_machine",
-    "describe_machine",
     "parse_workload",
-    "render_topology",
     "resume",
     "run_point",
 ]

@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.config import MachineConfig, ProtocolOptions
+from repro.config import ConfigError, MachineConfig, ProtocolOptions
 from repro.protocols import registry
 from repro.runner.seeds import derive_seed
 from repro.runner.sweep import SweepPoint, SweepReport, WithMetrics
@@ -87,10 +87,8 @@ class Experiment:
             a :class:`~repro.faults.plan.FaultSpec`; None = fault-free.
         sample_interval: telemetry sampler window for instrumented runs.
         private_blocks_per_proc: per-processor private pool size.
-        engine: protocol dispatch engine — ``"compiled"`` (default)
-            executes the build-time table-compiled kernel, verified
-            against the interpreted reference once per code version;
-            ``"interpreted"`` forces the classic per-event dispatch.
+        engine: accepted for compatibility; ``"compiled"`` (the
+            transition-table processor) is the only engine.
         workload: what the processors execute — a registry spec string
             (``"dubois:low"``, ``"uniform"``, ``"trace:path.trace"``,
             ``"scripted:hot_cold"`` — see
@@ -142,12 +140,15 @@ class Experiment:
         self.faults = faults
         self.sample_interval = sample_interval
         self.private_blocks_per_proc = private_blocks_per_proc
-        if engine not in ("interpreted", "compiled"):
-            raise ValueError(
-                f"unknown engine {engine!r}; expected 'interpreted' or "
-                f"'compiled'"
+        if engine == "interpreted":
+            raise ConfigError(
+                "engine 'interpreted' was removed; every machine runs the "
+                "transition-table processor ('compiled')"
             )
-        self.engine = engine
+        if engine != "compiled":
+            raise ConfigError(
+                f"unknown engine {engine!r}; expected 'compiled'"
+            )
         if workload is not None and not isinstance(workload, (str, Workload)):
             raise TypeError(
                 "workload must be a registry spec string, a Workload "
@@ -181,7 +182,6 @@ class Experiment:
             "faults": faults,
             "sample_interval": self.sample_interval,
             "private_blocks_per_proc": self.private_blocks_per_proc,
-            "engine": self.engine,
             "workload": self.workload,
         }
 
@@ -210,7 +210,7 @@ class Experiment:
             else self.faults
         )
         if self.protocol not in FAULT_PROTOCOLS:
-            raise ValueError(
+            raise ConfigError(
                 f"faults: {self.protocol} has no NAK/retry recovery path; "
                 f"choose from {', '.join(FAULT_PROTOCOLS)}"
             )
@@ -246,7 +246,7 @@ class Experiment:
                 duplicate_directory=self.duplicate_directory,
             ),
         )
-        machine = build_machine(config, workload, engine=self.engine)
+        machine = build_machine(config, workload)
         spec = self._fault_spec()
         if spec is not None:
             attach_faults(machine, spec)
@@ -477,7 +477,6 @@ class Experiment:
             refs = diff_mod.random_refs(self.seed + offset)
             report = diff_mod.run_differential(
                 refs, protocols=[self.protocol], faults=spec,
-                engine=self.engine,
             )
             if not report.ok:
                 ok = False

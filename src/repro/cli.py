@@ -36,7 +36,7 @@ from repro.analysis.dubois_briggs import generate_table_4_2
 from repro.analysis.overhead_model import compare_table_4_1, generate_table_4_1
 from repro.analysis.thresholds import generate_threshold_table
 from repro.api import Experiment
-from repro.config import NETWORKS, MachineConfig
+from repro.config import NETWORKS, ConfigError, MachineConfig
 from repro.faults import CANNED_PLANS, FAULT_PROTOCOLS, parse_faults
 from repro.core.spec import render_spec
 from repro.protocols import registry
@@ -52,8 +52,9 @@ PROTOCOL_CHOICES = tuple(
     )
 )
 
-#: Experiment parameters with their own dedicated flags/handling.
-_SKIP_PARAMS = ("protocol", "faults", "sample_interval")
+#: Experiment parameters with their own dedicated flags/handling
+#: (``engine`` has one accepted value and no flag).
+_SKIP_PARAMS = ("protocol", "faults", "sample_interval", "engine")
 
 #: Historical flag spellings; parameters not listed get ``--kebab-name``.
 _FLAG_ALIASES = {
@@ -76,9 +77,6 @@ _PARAM_HELP = {
     "translation_buffer_entries": "translation buffer entries (0 = off)",
     "duplicate_directory": "enable the duplicate-directory enhancement",
     "private_blocks_per_proc": "private pool blocks per processor",
-    "engine": "protocol dispatch engine: the table-compiled kernel "
-    "(default; verified against the interpreted reference once per code "
-    "version) or the classic interpreted dispatch",
     "workload": "workload registry spec: NAME[:ARG[,key=value...]], e.g. "
     "'dubois:low', 'uniform:n_blocks=64', 'trace:path.trace', "
     "'scripted:hot_cold' (default: the Dubois-Briggs model built from "
@@ -114,11 +112,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(
                 *flags, dest=name, choices=NETWORKS, default=None,
                 help=help_text,
-            )
-        elif name == "engine":
-            parser.add_argument(
-                *flags, dest=name, choices=("interpreted", "compiled"),
-                default=default, help=help_text,
             )
         elif name == "workload":
             # Default None (meaning "legacy Dubois-Briggs from -q/-w"),
@@ -1127,7 +1120,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        # Invalid flag values the parser cannot see (e.g. ``-n 0``) exit
+        # like argparse's own usage errors: status 2, one line.
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 
+class ConfigError(ValueError):
+    """An invalid machine or experiment configuration (bad user input,
+    reported as a one-line usage error by the CLI)."""
+
+
 @dataclass(frozen=True)
 class TimingConfig:
     """Cycle costs shared by every protocol."""
@@ -44,7 +49,7 @@ class TimingConfig:
             "selective_send_overhead",
         ):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,17 +100,17 @@ class ProtocolOptions:
 
     def __post_init__(self) -> None:
         if self.serialization not in ("block", "global"):
-            raise ValueError("serialization must be 'block' or 'global'")
+            raise ConfigError("serialization must be 'block' or 'global'")
         if self.translation_buffer_entries < 0:
-            raise ValueError("translation_buffer_entries must be >= 0")
+            raise ConfigError("translation_buffer_entries must be >= 0")
         if self.bias_filter_entries < 0:
-            raise ValueError("bias_filter_entries must be >= 0")
+            raise ConfigError("bias_filter_entries must be >= 0")
         if self.tbuf_forced_hit_ratio is not None and not (
             0.0 <= self.tbuf_forced_hit_ratio <= 1.0
         ):
-            raise ValueError("tbuf_forced_hit_ratio must be in [0, 1]")
+            raise ConfigError("tbuf_forced_hit_ratio must be in [0, 1]")
         if self.wb_capacity is not None and self.wb_capacity < 1:
-            raise ValueError("wb_capacity must be >= 1 (or None for unbounded)")
+            raise ConfigError("wb_capacity must be >= 1 (or None for unbounded)")
 
 
 def sparse_options(**overrides) -> "ProtocolOptions":
@@ -178,25 +183,25 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         if self.n_processors < 1:
-            raise ValueError("need at least one processor")
+            raise ConfigError("need at least one processor")
         if self.n_modules < 1:
-            raise ValueError("need at least one memory module")
+            raise ConfigError("need at least one memory module")
         if self.n_blocks < 1:
-            raise ValueError("need at least one block")
+            raise ConfigError("need at least one block")
         if self.cache_sets < 1 or self.cache_assoc < 1:
-            raise ValueError("cache geometry must be positive")
+            raise ConfigError("cache geometry must be positive")
         if self.delta_radix < 2:
-            raise ValueError("delta_radix must be >= 2")
+            raise ConfigError("delta_radix must be >= 2")
         if self.protocol not in PROTOCOLS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
             )
         if self.network not in NETWORKS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown network {self.network!r}; choose from {NETWORKS}"
             )
         if self.protocol in ("write_once", "illinois") and self.network != "bus":
-            raise ValueError(
+            raise ConfigError(
                 f"{self.protocol} is a snooping protocol and requires network='bus'"
             )
         if self.sparse_fanout:
@@ -221,20 +226,20 @@ class MachineConfig:
           insertions and diverge on later filtered snoops.
         """
         if self.network == "bus":
-            raise ValueError("sparse_fanout is meaningless on a snooping bus")
+            raise ConfigError("sparse_fanout is meaningless on a snooping bus")
         opts = self.options
         if not opts.duplicate_directory:
-            raise ValueError(
+            raise ConfigError(
                 "sparse_fanout requires options.duplicate_directory=True "
                 "(skipped caches must not owe a stolen array cycle)"
             )
         if opts.invalidation_acks:
-            raise ValueError(
+            raise ConfigError(
                 "sparse_fanout requires options.invalidation_acks=False "
                 "(ack-driven round completion is not position-independent)"
             )
         if opts.bias_filter_entries:
-            raise ValueError(
+            raise ConfigError(
                 "sparse_fanout requires options.bias_filter_entries=0 "
                 "(skipped caches would miss BIAS insertions)"
             )

@@ -1,14 +1,13 @@
 """Table-compiled protocol kernel.
 
-Protocol dispatch, not the event queue, dominates machine throughput:
-every cache hit walks ``Processor._issue_next -> access -> _classify ->
-_complete -> _completed`` with per-event attribute lookups and Python
-branching at each hop.  This module lowers the *hit* paths of every
-registered protocol into dense ``(state, command) -> (next_state,
-action-tuple)`` transition tables at machine-build time and executes
-them with one fused interpreter step.
+Protocol dispatch, not the event queue, dominates machine throughput.
+This module declares the *processor side* of every registered protocol
+as a dense ``(state, command) -> (next_state, action)`` transition table
+and lowers it, at machine-build time, into the runtime form the
+processor's issue loop (:class:`repro.processors.processor.Processor`)
+executes for every reference.
 
-The design has three layers:
+The design has two layers:
 
 1. **Declarative tables** (:data:`PROTOCOL_TABLES`).  Each protocol
    declares its processor-side transitions as :class:`Rule` rows over the
@@ -16,57 +15,28 @@ The design has three layers:
    :class:`Guard` column resolved by one precomputed callable per guard
    class (:data:`GUARD_FNS`); anything data-dependent — misses, upgrades
    needing the interconnect, write-through stores — is an explicit
-   :attr:`Action.ESCAPE` row.
+   :attr:`Action.ESCAPE` row, executed by the protocol's own
+   ``_classify``.
 
 2. **The compile pass** (:func:`compile_protocol`).  Tables are lowered
    into a :class:`CompiledKernel`: plain sets/dicts keyed by the runtime
    ``(modified, local)`` encoding, so the hot loop does one dict probe
    per write and one set probe per read, with no protocol subclassing.
 
-3. **The fused interpreter** (:class:`CompiledProcessor`).  A processor
-   subclass whose issue loop replicates the interpreted engine's exact
-   logical event schedule — same event count, same times, same sequence
-   numbers — but executes each hit in two flattened event handlers.
-   Escape rows re-enter the interpreted ``_classify`` *inside* the same
-   scheduled event the interpreted engine would have used for it, so
-   semantics never fork silently and event ordering is bit-identical.
-
-Conformance is not assumed: :func:`verify_protocol_table` drives twin
-machines (interpreted vs compiled) through every reachable ``(state,
-command)`` scenario plus a concurrent randomized smoke run and compares
-full machine fingerprints.  :func:`ensure_verified` runs this once per
-(protocol, code version) per process — the build caches the verdict via
-:func:`repro.runner.cache.code_version` fingerprinting.
-
-Exactness invariants the fused path preserves (all load-bearing):
-
-* the decision fast-vs-escape is made **before** the line is touched —
-  an escape re-runs ``_classify`` from scratch, and a premature ``touch``
-  would double-tick the replacement clock;
-* cache/processor counters accumulate in plain dicts and flush through
-  the same CounterSet totals when the processor drains;
-* oracle calls (``new_version``/``commit_write``/``check_read``) are
-  made directly, never batched — the oracle is the correctness referee;
-* with telemetry attached (``sim.obs``) or a tie-breaking RNG, the
-  processor delegates to the interpreted issue loop wholesale, so
-  instrumented and model-checked runs are interpreted-identical by
-  construction.
+The tables are held to the protocols' own ``_classify`` by per-protocol
+golden runs and by a per-rule test that drives a cache into every
+declared state and checks each row lands in its ``next_state``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heappush
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.cache.line import CacheLine, LocalState
-from repro.cache.replacement import LRUPolicy
-from repro.config import MachineConfig
-from repro.processors.processor import Processor
 from repro.protocols import registry
-from repro.workloads.reference import MemRef, Op
-from repro.workloads.synthetic import ReplayableStream, ScriptedWorkload
+from repro.workloads.reference import MemRef
 
 
 # ======================================================================
@@ -100,7 +70,7 @@ class Action(Enum):
 
     READ_HIT = "read_hit"  # touch, count, oracle check, complete
     WRITE = "write"        # touch, count, new version, commit, complete
-    ESCAPE = "escape"      # re-enter the interpreted _classify
+    ESCAPE = "escape"      # re-enter the protocol's own _classify
 
 
 class Guard(Enum):
@@ -221,6 +191,11 @@ def _directory_rules(extended: bool = False) -> Tuple[Rule, ...]:
             locals_=(_NONE, LocalState.EXCLUSIVE),
             note="write hit on dirty copy (exclusive-grant fill keeps E)",
         )
+        rules[rules.index(Rule(_I, _R, _ESC, _V, note="read miss (§3.2.2)"))] = (
+            Rule(_I, _R, _ESC, _E,
+                 note="read miss: exclusive-clean grant when no other "
+                 "cache holds the block, else valid (§2.4.3)")
+        )
     return tuple(rules)
 
 
@@ -275,7 +250,7 @@ _ILLINOIS_RULES = (
     Rule(_D, _W, _WR, _D, locals_=(_NONE,), clears_local=True,
          note="write hit, M (after-store clears local)"),
     Rule(_S, _W, _ESC, _D, note="S -> M: BUS_INV upgrade"),
-    Rule(_I, _R, _ESC, _S, note="read miss (fill E or S)"),
+    Rule(_I, _R, _ESC, _E, note="read miss (fill E; S if another cache holds it)"),
     Rule(_I, _W, _ESC, _D, note="write miss (BUS_RDX)"),
 )
 
@@ -360,8 +335,9 @@ def render_table(protocol: str) -> str:
 # ======================================================================
 # The compile pass
 # ======================================================================
-#: Fast-path micro-op: (hit counter, extra counters, clears_local).
-_Micro = Tuple[str, Tuple[str, ...], bool]
+#: Fast-path micro-op: (hit counter, extra counters, clears_local, span
+#: outcome or None).
+_Micro = Tuple[str, Tuple[str, ...], bool, Optional[str]]
 
 _BASE_COUNTERS = (
     "refs", "reads", "writes", "processor_wait_cycles",
@@ -381,6 +357,10 @@ class CompiledKernel:
     op_flag: bool
     #: Static scheme: escape before lookup when ``ref.shared``.
     pre_shared_escape: bool
+    #: Whether the protocol's ``_classify`` marks the telemetry span's
+    #: ``lookup`` phase (directory caches do); the fast path marks it
+    #: wherever ``_classify`` would have.
+    lookup_phase: bool
     #: LocalState values for which a clean-line read is a fast hit.
     r_clean: FrozenSet[LocalState]
     #: Whether a dirty-line read is a fast hit.
@@ -389,7 +369,7 @@ class CompiledKernel:
     w_clean: Dict[LocalState, _Micro]
     #: LocalState -> micro-op for dirty-line write hits.
     w_dirty: Dict[LocalState, _Micro]
-    #: Every cache counter the fused path may increment (pre-seeds the
+    #: Every cache counter the fast path may increment (pre-seeds the
     #: batching dict so the hot loop never grows it).
     counter_names: Tuple[str, ...] = field(default_factory=tuple)
 
@@ -447,7 +427,14 @@ def compile_protocol(protocol: str) -> CompiledKernel:
         # Action.WRITE
         if rule.cmd is not Cmd.WRITE:
             raise TableCompileError(f"{name}: WRITE action on a read: {rule}")
-        micro: _Micro = (rule.hit_counter, rule.extra_counters, rule.clears_local)
+        # A write hit on an unmodified line is labelled in telemetry
+        # even when it upgrades silently (the span matches the counter).
+        outcome = (
+            "WH-unmod" if rule.hit_counter == "write_hits_unmodified" else None
+        )
+        micro: _Micro = (
+            rule.hit_counter, rule.extra_counters, rule.clears_local, outcome
+        )
         counters.add(rule.hit_counter)
         counters.update(rule.extra_counters)
         if rule.state is LineState.DIRTY:
@@ -468,6 +455,7 @@ def compile_protocol(protocol: str) -> CompiledKernel:
         protocol=name,
         op_flag=table.op_flag,
         pre_shared_escape=pre_shared_escape,
+        lookup_phase=table.family == "directory",
         r_clean=frozenset(r_clean),
         r_dirty=r_dirty,
         w_clean=w_clean,
@@ -478,437 +466,10 @@ def compile_protocol(protocol: str) -> CompiledKernel:
     return kernel
 
 
-# ======================================================================
-# The fused interpreter
-# ======================================================================
-class CompiledProcessor(Processor):
-    """Processor whose issue loop executes the compiled kernel.
-
-    Overrides only the issue loop and the counter flush; budget/stream/
-    checkpoint behaviour is inherited.  The fused path preserves the
-    interpreted engine's logical event schedule exactly: one issue event
-    plus one classify/step event per hit, identical times and sequence
-    numbers, identical oracle call order.  See the module docstring for
-    the invariant list.
-    """
-
-    def __init__(self, sim, pid, cache, stream, kernel: CompiledKernel,
-                 **kwargs) -> None:
-        super().__init__(sim, pid, cache, stream, **kwargs)
-        self._kernel = kernel
-        self._oracle = cache.oracle
-        self._array = cache.array
-        self._has_op_flag = kernel.op_flag
-        self._pre_shared_escape = kernel.pre_shared_escape
-        self._r_clean = kernel.r_clean
-        self._r_dirty = kernel.r_dirty
-        self._w_clean = kernel.w_clean
-        self._w_dirty = kernel.w_dirty
-        # Exact-touch fast path is valid only for plain LRU; other
-        # policies go through the array's touch (still fused otherwise).
-        self._lru_touch = type(cache.array.policy) is LRUPolicy
-        self._replayable = isinstance(stream, ReplayableStream)
-        #: Batched cache-counter increments, flushed on drain.
-        self._cpend: Dict[str, int] = {n: 0 for n in kernel.counter_names}
-        #: Batched latency histogram increments: latency -> count.
-        self._hpend: Dict[int, int] = {}
-        #: Engine-internal diagnostic: references completed on the fused
-        #: fast path (not part of the conformance fingerprint — the
-        #: interpreted engine has no counterpart).
-        self.fused_fast = 0
-
-    # ------------------------------------------------------------------
-    # Issue loop
-    # ------------------------------------------------------------------
-    def _issue_next(self) -> None:
-        sim = self.sim
-        if sim.obs is not None or sim._tie_rng is not None:
-            # Telemetry spans / tie-break draws must happen exactly as
-            # the interpreted engine makes them: delegate wholesale.
-            Processor._issue_next(self)
-            return
-        if self.completed >= self.budget:
-            self._stop()
-            return
-        stream = self.stream
-        if self._replayable:
-            it = stream._it
-            if it is None:
-                it = stream._restore()
-            try:
-                ref = next(it)
-            except StopIteration:
-                self.exhausted = True
-                self._stop()
-                return
-            stream.position += 1
-        else:
-            try:
-                ref = next(stream)
-            except StopIteration:
-                self.exhausted = True
-                self._stop()
-                return
-        self.issued += 1
-        self._waiting = True
-        cache = self.cache
-        pend = self._cpend
-        pend["refs"] += 1
-        if ref.is_write:
-            pend["writes"] += 1
-        else:
-            pend["reads"] += 1
-        if self._has_op_flag:
-            cache._op_in_progress = True
-        now = sim.now
-        # Inline _use_array(stolen=False).
-        start = cache._array_free_at
-        if start < now:
-            start = now
-        else:
-            wait = start - now
-            if wait:
-                pend["processor_wait_cycles"] += wait
-        done = start + cache._cache_cycle
-        cache._array_free_at = done
-        # Inline post_at(done, ...): same seq allocation as the
-        # interpreted access() would make for its _classify event.
-        seq = sim._seq
-        sim._seq = seq + 1
-        heappush(sim._queue, (done, 0.0, seq, None, self._step, (ref, now)))
-        sim._live += 1
-
-    def _step(self, ref: MemRef, issue_time: int) -> None:
-        """The compiled classify/complete event (fused ``_classify``).
-
-        Runs at exactly the time the interpreted ``_classify`` event
-        would; an escape re-enters the interpreted handler synchronously
-        inside this event, so event counts and sequence numbers match
-        the interpreted schedule either way.
-        """
-        cache = self.cache
-        if self._pre_shared_escape and ref.shared:
-            cache._classify(ref, self._completed, issue_time)
-            return
-        array = self._array
-        block = ref.block
-        line = array._index.get(block)
-        if line is None or not line.valid or line.block != block:
-            line = array.lookup(block)
-        if line is None:
-            # Miss: replacement + interconnect machinery — interpreted.
-            cache._classify(ref, self._completed, issue_time)
-            return
-        pend = self._cpend
-        if ref.is_write:
-            micro = (self._w_dirty if line.modified else self._w_clean).get(
-                line.local
-            )
-            if micro is None:
-                # Upgrade / write-through / unreachable combo: escape
-                # BEFORE touching (the interpreted path touches — or
-                # deliberately does not — on its own).
-                cache._classify(ref, self._completed, issue_time)
-                return
-            if self._lru_touch:
-                clock = array._clock + 1
-                array._clock = clock
-                line.last_use = clock
-            else:
-                array.touch(line)
-            hit_counter, extras, clears_local = micro
-            pend[hit_counter] += 1
-            for name in extras:
-                pend[name] += 1
-            if clears_local:
-                line.local = _NONE
-            oracle = self._oracle
-            version = oracle.new_version()
-            line.version = version
-            line.modified = True
-            now = self.sim.now
-            oracle.commit_write(block, version, now, self.pid)
-        else:
-            if line.modified:
-                if not self._r_dirty:
-                    cache._classify(ref, self._completed, issue_time)
-                    return
-            elif line.local not in self._r_clean:
-                cache._classify(ref, self._completed, issue_time)
-                return
-            if self._lru_touch:
-                clock = array._clock + 1
-                array._clock = clock
-                line.last_use = clock
-            else:
-                array.touch(line)
-            pend["read_hits"] += 1
-            now = self.sim.now
-            self._oracle.check_read(block, line.version, issue_time, self.pid)
-        # Fused completion (_complete + _completed, no AccessResult).
-        if self._has_op_flag:
-            cache._op_in_progress = False
-        latency = now - issue_time
-        pend["latency_cycles"] += latency
-        self._waiting = False
-        self.completed += 1
-        acc = self._acc
-        acc[0] += 1
-        acc[1] += latency
-        acc[2] += 1  # always a hit on the fast path
-        if ref.is_write:
-            acc[3] += 1
-        if ref.shared:
-            acc[4] += 1
-            if ref.is_write:
-                acc[5] += 1
-            acc[6] += 1
-        hpend = self._hpend
-        hpend[latency] = hpend.get(latency, 0) + 1
-        self.fused_fast += 1
-        if self._running:
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            heappush(
-                sim._queue,
-                (now + self.think_time, 0.0, seq, None, self._issue_next, ()),
-            )
-            sim._live += 1
-
-    # ------------------------------------------------------------------
-    # Counter flush
-    # ------------------------------------------------------------------
-    def _flush_counters(self) -> None:
-        pend = self._cpend
-        add = self.cache.counters.add
-        for name, value in pend.items():
-            if value:
-                add(name, value)
-                pend[name] = 0
-        hpend = self._hpend
-        if hpend:
-            hadd = self.latency_histogram.add
-            for value, count in hpend.items():
-                hadd(value, count)
-            hpend.clear()
-        Processor._flush_counters(self)
-
-
-# ======================================================================
-# Build-time conformance verification
-# ======================================================================
-class TableConformanceError(AssertionError):
-    """A compiled table diverged from its interpreted reference."""
-
-
-#: (canonical protocol, code version) pairs proven conformant in this
-#: process.  Keyed by code version so editing any source file re-runs
-#: the verification on the next compiled build.
-_VERIFIED: set = set()
-
-_PROBE_BLOCK = 1
-
-
-def _ref(pid: int, op: Op, block: int = _PROBE_BLOCK,
-         shared: bool = False) -> MemRef:
-    return MemRef(pid=pid, op=op, block=block, shared=shared)
-
-
-def _preps(name: str) -> Dict[LineState, List[List[Tuple[int, MemRef]]]]:
-    """Per-state preparation step lists ((pid, ref) pairs) that drive
-    cache 0 of a fresh 2-processor machine into each table state."""
-    R, W = Op.READ, Op.WRITE
-    p0r, p0w = (0, _ref(0, R)), (0, _ref(0, W))
-    p1r = (1, _ref(1, R))
-    preps: Dict[LineState, List[List[Tuple[int, MemRef]]]] = {
-        LineState.INVALID: [[]],
-    }
-    if name in ("twobit", "fullmap"):
-        preps[LineState.VALID] = [[p0r]]
-        preps[LineState.DIRTY] = [[p0w]]
-    elif name == "fullmap_local":
-        # P1 holding first keeps P0's fill non-exclusive (VALID); alone,
-        # the exclusive-clean grant produces EXCLUSIVE.  Both dirty
-        # entry paths (plain and exclusive-grant) are exercised.
-        preps[LineState.VALID] = [[p1r, p0r]]
-        preps[LineState.EXCLUSIVE] = [[p0r]]
-        preps[LineState.DIRTY] = [[p1r, p0w], [p0w]]
-    elif name in ("classical", "twobit_wt"):
-        preps[LineState.VALID] = [[p0r]]
-    elif name == "static":
-        preps[LineState.VALID] = [[p0r]]
-        preps[LineState.DIRTY] = [[p0w]]
-    elif name == "write_once":
-        preps[LineState.VALID] = [[p0r]]
-        preps[LineState.RESERVED] = [[p0r, p0w]]
-        preps[LineState.DIRTY] = [[p0r, p0w, p0w]]
-    elif name == "illinois":
-        preps[LineState.EXCLUSIVE] = [[p0r]]
-        preps[LineState.SHARED] = [[p1r, p0r]]
-        preps[LineState.DIRTY] = [[p0w]]
-    else:  # pragma: no cover - registry and tables must agree
-        raise TableConformanceError(f"no scenario preps for {name!r}")
-    return preps
-
-
-def _scenarios(name: str):
-    """Yield (label, steps, expected pre-probe state or None)."""
-    table = PROTOCOL_TABLES[name]
-    preps = _preps(name)
-    for state in table.states:
-        for variant, prep in enumerate(preps[state]):
-            for op in (Op.READ, Op.WRITE):
-                label = f"{state.value} x {op.name}"
-                if len(preps[state]) > 1:
-                    label += f" (prep {variant})"
-                yield label, prep + [(0, _ref(0, op))], state
-    if any(r.guard is Guard.SHARED_REF for r in table.rules):
-        # Guard precedence: the shared tag escapes before the lookup,
-        # even when the block is (mis-tagged and) privately cached.
-        for op in (Op.READ, Op.WRITE):
-            yield (
-                f"shared-ref x {op.name} (uncached)",
-                [(0, _ref(0, op, shared=True))],
-                None,
-            )
-            yield (
-                f"shared-ref x {op.name} (cached private copy)",
-                [(0, _ref(0, Op.READ)), (0, _ref(0, op, shared=True))],
-                None,
-            )
-
-
-def _drive(machine, steps) -> None:
-    """Budget-stepper: run one reference to completion at a time,
-    through the processors — the fused issue loop is on the path."""
-    for pid, ref in steps:
-        proc = machine.processors[pid]
-        proc.budget += 1
-        proc.resume()
-        machine.sim.run(max_events=50_000)
-
-
-def _fingerprint(machine):
-    """Everything two conformant engines must agree on, exactly."""
-    for proc in machine.processors:
-        proc._flush_counters()  # idempotent; counters may be mid-window
-    oracle = machine.oracle
-    hist = machine.latency_histogram()
-    return (
-        machine.sim.events_processed,
-        machine.sim.now,
-        machine.registry.merged().snapshot(),
-        (oracle._counter, oracle.reads_checked, oracle.writes_committed),
-        tuple(
-            tuple(
-                (l.block, l.valid, l.modified, l.version, l.local.name,
-                 l.last_use)
-                for l in cache.array.lines()
-            )
-            for cache in machine.caches
-        ),
-        tuple((p.issued, p.completed) for p in machine.processors),
-        tuple(sorted(hist._counts.items())),
-    )
-
-
-def _twin_configs(name: str, **overrides) -> MachineConfig:
-    spec = registry.resolve(name)
-    defaults = dict(
-        n_processors=2, n_modules=1, n_blocks=4, cache_sets=2,
-        cache_assoc=2, protocol=name, network=spec.default_network(),
-    )
-    defaults.update(overrides)
-    return MachineConfig(**defaults)
-
-
-def verify_protocol_table(protocol: str) -> None:
-    """Prove the compiled kernel conformant with its interpreted
-    reference over the full reachable ``(state, command)`` domain.
-
-    Drives twin machines — one per engine — through every per-state
-    scenario strictly sequentially, asserting the prepared state matches
-    the table row being exercised, then through one concurrent
-    randomized smoke run, and compares complete machine fingerprints.
-
-    Raises:
-        TableConformanceError: on any divergence (or a scenario that
-            failed to reach its intended state — a table/scenario bug).
-    """
-    from repro.system.builder import build_machine
-
-    name = registry.canonical_name(protocol)
-    for label, steps, expect in _scenarios(name):
-        config = _twin_configs(name)
-        workload = ScriptedWorkload(
-            [
-                [ref for pid, ref in steps if pid == p]
-                for p in range(config.n_processors)
-            ]
-        )
-        interp = build_machine(config, workload, engine="interpreted")
-        comp = build_machine(config, workload, engine="compiled-unverified")
-        prep, probe = steps[:-1], steps[-1:]
-        for machine in (interp, comp):
-            _drive(machine, prep)
-        if expect is not None:
-            for tag, machine in (("interpreted", interp), ("compiled", comp)):
-                got = line_state(machine.caches[0].array.lookup(_PROBE_BLOCK))
-                if got is not expect:
-                    raise TableConformanceError(
-                        f"{name}: scenario {label!r} prepared state "
-                        f"{got.value} on the {tag} twin, expected "
-                        f"{expect.value} (scenario/table bug)"
-                    )
-        for machine in (interp, comp):
-            _drive(machine, probe)
-        fp_i, fp_c = _fingerprint(interp), _fingerprint(comp)
-        if fp_i != fp_c:
-            raise TableConformanceError(
-                f"{name}: compiled engine diverged on scenario {label!r}:\n"
-                f"  interpreted: {fp_i}\n  compiled:    {fp_c}"
-            )
-    # Concurrent smoke: contention, misses, invalidations, warm-up reset.
-    from repro.workloads.synthetic import DuboisBriggsWorkload
-
-    smoke = DuboisBriggsWorkload(
-        n_processors=2, q=0.3, w=0.5, n_shared_blocks=4,
-        private_blocks_per_proc=8, seed=11,
-    )
-    config = _twin_configs(name, n_modules=2, n_blocks=smoke.n_blocks)
-    interp = build_machine(config, smoke, engine="interpreted")
-    comp = build_machine(config, smoke, engine="compiled-unverified")
-    for machine in (interp, comp):
-        machine.run(refs_per_proc=60, warmup_refs=20)
-    fp_i, fp_c = _fingerprint(interp), _fingerprint(comp)
-    if fp_i != fp_c:
-        raise TableConformanceError(
-            f"{name}: compiled engine diverged on the concurrent smoke "
-            f"run:\n  interpreted: {fp_i}\n  compiled:    {fp_c}"
-        )
-
-
-def ensure_verified(protocol: str) -> None:
-    """Run :func:`verify_protocol_table` once per (protocol, code
-    version) per process; later compiled builds of the same protocol
-    reuse the verdict (the code-version fingerprint invalidates the memo
-    whenever any tracked source file changes)."""
-    from repro.runner.cache import code_version
-
-    name = registry.canonical_name(protocol)
-    key = (name, code_version())
-    if key in _VERIFIED:
-        return
-    verify_protocol_table(name)
-    _VERIFIED.add(key)
-
-
 __all__ = [
     "Action",
     "Cmd",
     "CompiledKernel",
-    "CompiledProcessor",
     "GUARD_FNS",
     "Guard",
     "LineState",
@@ -916,10 +477,7 @@ __all__ = [
     "ProtocolTable",
     "Rule",
     "TableCompileError",
-    "TableConformanceError",
     "compile_protocol",
-    "ensure_verified",
     "line_state",
     "render_table",
-    "verify_protocol_table",
 ]

@@ -19,13 +19,10 @@ The eligibility rule lives in that one inspectable place, and
 :meth:`snapshot` exposes the full active/queued state for the model
 checker's fingerprinter.
 
-Under the table-compiled engine (:mod:`repro.protocols.compiled`) the
-engine sits on the escape path: the fused processor loop handles hits
-from the compiled tables and re-enters the interpreted controller for
-everything that needs the interconnect, so every transaction still
-serializes here — compiled and interpreted machines exercise the same
-submit/complete/scrub sequence, which is part of what the build-time
-conformance pass fingerprints.
+The engine sits on the processors' escape path: the transition-table
+step (:mod:`repro.protocols.compiled`) completes hits itself and
+re-enters the cache's ``_classify`` for everything that needs the
+interconnect, so every transaction still serializes here.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
 from repro.processors.processor import Processor
 from repro.protocols import registry
+from repro.protocols.compiled import compile_protocol
 from repro.sim.kernel import Simulator
 from repro.stats.counters import CounterRegistry
 from repro.config import MachineConfig
@@ -36,28 +37,16 @@ def build_network(sim: Simulator, config: MachineConfig) -> Network:
     return DeltaNetwork(sim, latency=timing.net_latency, radix=config.delta_radix)
 
 
-#: Accepted ``engine=`` values.  ``compiled-unverified`` is internal: it
-#: skips the build-time conformance pass (the pass itself builds twin
-#: machines, which must not recurse into another verification).
-ENGINES = ("interpreted", "compiled", "compiled-unverified")
-
-
-def build_machine(
-    config: MachineConfig, workload: Workload, engine: str = "interpreted"
-) -> Machine:
+def build_machine(config: MachineConfig, workload: Workload) -> Machine:
     """Assemble and wire every component for ``config`` and ``workload``.
+
+    The processors run the protocol's compiled transition table
+    (:mod:`repro.protocols.compiled`).
 
     Args:
         config: machine shape, protocol and timing.
         workload: per-processor reference stream factory.
-        engine: ``"interpreted"`` for the classic per-event dispatch, or
-            ``"compiled"`` for the table-compiled protocol kernel
-            (:mod:`repro.protocols.compiled`).  The first compiled build
-            of a protocol per (process, code version) verifies its
-            transition table against the interpreted reference.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if workload.n_processors != config.n_processors:
         raise ValueError(
             f"workload drives {workload.n_processors} processors, config has "
@@ -97,27 +86,11 @@ def build_machine(
     if registry.attaches_endpoints(spec.name):
         _attach_all(net, caches, controllers)
 
-    if engine == "interpreted":
-        processors = [
-            Processor(sim, pid, caches[pid], workload.stream(pid))
-            for pid in range(config.n_processors)
-        ]
-    else:
-        from repro.protocols.compiled import (
-            CompiledProcessor,
-            compile_protocol,
-            ensure_verified,
-        )
-
-        if engine == "compiled":
-            ensure_verified(spec.name)
-        kernel = compile_protocol(spec.name)
-        processors = [
-            CompiledProcessor(
-                sim, pid, caches[pid], workload.stream(pid), kernel=kernel
-            )
-            for pid in range(config.n_processors)
-        ]
+    kernel = compile_protocol(spec.name)
+    processors = [
+        Processor(sim, pid, caches[pid], workload.stream(pid), kernel)
+        for pid in range(config.n_processors)
+    ]
 
     registry_counters = CounterRegistry()
     for component in [*caches, *controllers, *processors, *managers, net, *modules]:
@@ -136,7 +109,6 @@ def build_machine(
         network=net,
         managers=managers,
         registry=registry_counters,
-        engine="interpreted" if engine == "interpreted" else "compiled",
     )
 
 

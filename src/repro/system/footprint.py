@@ -13,8 +13,8 @@ Measurement notes:
   (traced bytes after minus before), which excludes the interpreter's
   and tracemalloc's own baseline.
 * ``peak_bytes`` is the tracemalloc high-water mark during the build;
-  transient spikes (e.g. the compiled engine's table construction) show
-  up here and not in ``build_bytes``.
+  transient spikes (e.g. compiling the protocol's transition table on
+  its first build) show up here and not in ``build_bytes``.
 * tracemalloc adds per-allocation overhead, so absolute numbers are an
   upper bound on real usage — fine for a regression *budget*, wrong for
   a marketing number.
@@ -47,9 +47,7 @@ class FootprintReport:
         )
 
 
-def measure_build_footprint(
-    config, workload=None, engine: str = "interpreted"
-) -> FootprintReport:
+def measure_build_footprint(config, workload=None) -> FootprintReport:
     """Build a machine from ``config`` under tracemalloc; report the cost.
 
     With no ``workload`` an empty scripted workload is used, so the
@@ -69,7 +67,7 @@ def measure_build_footprint(
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        machine = build_machine(config, workload, engine=engine)
+        machine = build_machine(config, workload)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         if not was_tracing:

@@ -105,9 +105,6 @@ class Machine:
     #: checkpoint-restored machine resumes with the same remaining
     #: budget an uninterrupted run would have at that point.
     _guard_remaining: Optional[int] = None
-    #: Dispatch engine the processors were built with ("interpreted" or
-    #: "compiled"); see :func:`repro.system.builder.build_machine`.
-    engine: str = "interpreted"
 
     # ------------------------------------------------------------------
     # Execution

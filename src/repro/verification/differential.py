@@ -99,8 +99,7 @@ def random_refs(
 
 def _build_lockstep_machine(
     protocol: str, n_processors: int, n_blocks: int,
-    cache_sets: int, cache_assoc: int, engine: str = "interpreted",
-    options=None, sparse: bool = False, n_modules: int = 1,
+    cache_sets: int, cache_assoc: int, options=None, sparse: bool = False, n_modules: int = 1,
 ):
     # NOTE: imported here, not at module scope — the system builder
     # imports the component classes whose modules import this package
@@ -127,7 +126,7 @@ def _build_lockstep_machine(
     )
     # Empty scripts: the harness drives the caches directly.
     workload = ScriptedWorkload([[] for _ in range(n_processors)])
-    return build_machine(config, workload, engine=engine)
+    return build_machine(config, workload)
 
 
 def run_lockstep(
@@ -136,7 +135,6 @@ def run_lockstep(
     cache_sets: int = 2,
     cache_assoc: int = 2,
     faults: Optional[FaultSpec] = None,
-    engine: str = "interpreted",
     options=None,
     sparse: bool = False,
     n_modules: int = 1,
@@ -149,17 +147,15 @@ def run_lockstep(
     fault-free reference exactly, which makes this harness a recovery
     conformance check as well.
 
-    ``engine`` selects the machine's dispatch engine; the harness drives
-    the caches directly, so this checks that a compiled-built machine's
-    protocol components behave identically under direct access (the
-    fused processor path itself is verified by
-    :func:`repro.protocols.compiled.verify_protocol_table`).
+    The harness drives the caches directly through ``cache.access()``,
+    so every reference — hits included — runs the protocol's own
+    ``_classify`` rather than the processors' transition table.
     """
     n_processors = max(r.pid for r in refs) + 1 if refs else 1
     n_blocks = max(r.block for r in refs) + 1 if refs else 1
     machine = _build_lockstep_machine(
         protocol, n_processors, n_blocks, cache_sets, cache_assoc,
-        engine=engine, options=options, sparse=sparse, n_modules=n_modules,
+        options=options, sparse=sparse, n_modules=n_modules,
     )
     if faults is not None:
         attach_faults(machine, faults)
@@ -199,7 +195,6 @@ def run_differential(
     cache_sets: int = 2,
     cache_assoc: int = 2,
     faults: Optional[FaultSpec] = None,
-    engine: str = "interpreted",
     options=None,
     sparse: bool = False,
     n_modules: int = 1,
@@ -233,7 +228,6 @@ def run_differential(
             cache_sets=cache_sets,
             cache_assoc=cache_assoc,
             faults=faults,
-            engine=engine,
             options=options,
             sparse=sparse,
             n_modules=n_modules,

@@ -115,6 +115,24 @@ _SKIP_ATTRS = frozenset(
         "exhausted",
         "obs",  # Simulator's observability hub (telemetry only)
         "observer",  # TwoBitDirectory's transition probe callback
+        # Processor fast-path bookkeeping: batched statistics, and the
+        # constant transition-table fields and component aliases it
+        # caches (the cache array and oracle are frozen at their owners).
+        "_cpend",
+        "_hpend",
+        "fused_fast",
+        "_kernel",
+        "_has_op_flag",
+        "_pre_shared_escape",
+        "_lookup_phase",
+        "_r_clean",
+        "_r_dirty",
+        "_w_clean",
+        "_w_dirty",
+        "_lru_touch",
+        "_replayable",
+        "_array",
+        "_oracle",
     }
 )
 

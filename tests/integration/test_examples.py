@@ -53,12 +53,9 @@ def test_verification_demo_shows_a_violation():
 def test_quickstart_machine_audits_clean_in_process():
     """The quickstart configuration, run in-process and fully audited —
     subprocess smoke tests only see stdout; this sees the state."""
-    from repro import (
-        DuboisBriggsWorkload,
-        MachineConfig,
-        audit_machine,
-        build_machine,
-    )
+    from repro import DuboisBriggsWorkload, MachineConfig
+    from repro.system.builder import build_machine
+    from repro.verification.audit import audit_machine
 
     workload = DuboisBriggsWorkload(
         n_processors=4, q=0.05, w=0.2, n_shared_blocks=16,

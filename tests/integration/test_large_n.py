@@ -5,9 +5,10 @@ n<=8; this tier is where the expandability claim is actually exercised.
 Three groups:
 
 * **Registry at scale** — every registered protocol builds and runs a
-  mixed (Dubois-Briggs) workload at n=16 and n=64 on both dispatch
-  engines with a clean quiescent audit; n=256 with a 10k-reference
-  stream runs in the slow tier.
+  mixed (Dubois-Briggs) workload at n=16 and n=64 with a clean quiescent
+  audit, both through the processors' transition table and with every
+  cache driven directly through ``cache.access()``; n=256 with a
+  10k-reference stream runs in the slow tier.
 * **Sparse/dense twins** — for the broadcast protocols, a sparse-fan-out
   machine and its dense twin produce identical behavioural fingerprints
   (cache lines, directory, memory, cycles, and every non-``sparse_*``
@@ -50,12 +51,13 @@ EXACT_COUNTERS = (
 )
 
 
-def _run_mixed(protocol, n, refs_per_proc, engine="interpreted", sparse=None):
+def _run_mixed(protocol, n, refs_per_proc, engine="compiled", sparse=None):
     """Build and run one machine; ``sparse`` is tri-state.
 
     ``None`` uses the protocol's default options (the registry-at-scale
     runs); ``True``/``False`` build envelope-identical twins — same
     ``sparse_options()``, differing only in ``sparse_fanout``.
+    ``engine`` picks the driver (see :data:`ENGINES`).
     """
     workload = DuboisBriggsWorkload(
         n_processors=n, q=0.10, w=0.3, private_blocks_per_proc=8, seed=7
@@ -75,12 +77,41 @@ def _run_mixed(protocol, n, refs_per_proc, engine="interpreted", sparse=None):
         network=registry.resolve(protocol).default_network(),
         **kwargs,
     )
-    machine = build_machine(config, workload, engine=engine)
-    machine.run(refs_per_proc=refs_per_proc)
+    machine = build_machine(config, workload)
+    if engine == "compiled":
+        machine.run(refs_per_proc=refs_per_proc)
+    else:
+        _drive_direct(machine, refs_per_proc)
     return machine
 
 
-@pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+#: How references reach the caches: ``compiled`` runs the processors
+#: (the transition table, escaping into the protocol's ``_classify``);
+#: ``interpreted`` drives every cache directly through
+#: ``cache.access()``, so each reference, hits included, is classified
+#: by ``_classify`` itself.
+ENGINES = ("interpreted", "compiled")
+
+
+def _drive_direct(machine, refs_per_proc):
+    """Issue each processor's stream concurrently through its cache's
+    ``access()``, one outstanding reference per cache, and drain."""
+    sim = machine.sim
+
+    def issue(pid, stream, left):
+        if left:
+            machine.caches[pid].access(
+                next(stream),
+                lambda _result: sim.post(0, issue, pid, stream, left - 1),
+            )
+
+    for pid in range(machine.config.n_processors):
+        sim.post(0, issue, pid, machine.workload.stream(pid), refs_per_proc)
+    sim.run(max_events=400 * refs_per_proc * machine.config.n_processors)
+    assert sim.drain_check()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_every_protocol_scales_to(protocol, n, engine):

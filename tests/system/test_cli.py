@@ -237,6 +237,16 @@ def test_run_workload_uniform_kv(capsys):
     assert "coherence audit: CLEAN" in capsys.readouterr().out
 
 
+def test_run_invalid_config_is_a_usage_error(capsys):
+    # A value argparse cannot validate (MachineConfig rejects it) still
+    # exits like a usage error: status 2, one line, no traceback.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "-n", "0", "--refs", "10"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "repro run: error: need at least one processor\n"
+
+
 def test_run_bad_workload_spec_exits(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--workload", "zipf", "-n", "2", "--refs", "50"])

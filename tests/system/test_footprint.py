@@ -66,9 +66,8 @@ def test_holder_index_is_empty_after_build():
         assert holders.total_members() == 0
 
 
-@pytest.mark.parametrize("engine", ["interpreted", "compiled"])
-def test_footprint_report_renders(engine):
-    report = measure_build_footprint(_config(256), engine=engine)
+def test_footprint_report_renders():
+    report = measure_build_footprint(_config(256))
     text = report.render()
     assert "n=256" in text and "KB/cache" in text
     assert report.per_cache_bytes > 0

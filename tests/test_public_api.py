@@ -49,8 +49,8 @@ def test_top_level_quickstart_names():
     for entry in (
         "MachineConfig",
         "DuboisBriggsWorkload",
-        "build_machine",
-        "audit_machine",
+        "Experiment",
+        "ConfigError",
         "TwoBitDirectoryController",
         "GlobalState",
     ):
@@ -59,24 +59,6 @@ def test_top_level_quickstart_names():
 
 def test_version_is_set():
     assert repro.__version__
-
-
-@pytest.mark.parametrize(
-    ("name", "home_module"),
-    [
-        ("build_machine", "repro.system.builder"),
-        ("audit_machine", "repro.verification.audit"),
-        ("describe_machine", "repro.system.topology"),
-        ("render_topology", "repro.system.topology"),
-    ],
-)
-def test_deprecated_helpers_warn_and_resolve(name, home_module):
-    """The legacy top-level helpers still work, warn, and hand back the
-    exact object from their home module."""
-    with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-        shimmed = getattr(repro, name)
-    home = importlib.import_module(home_module)
-    assert shimmed is getattr(home, name)
 
 
 def test_unknown_attribute_still_raises():

@@ -245,6 +245,27 @@ def test_mreq_cancel_late_scenario_exercises_the_race():
 
 
 # ----------------------------------------------------------------------
+# The state space is a property of the protocol, not of the processor's
+# bookkeeping: the table fast path's batched statistics and cached
+# aliases must not split states.  Pinned per deep twobit scenario.
+# ----------------------------------------------------------------------
+DEEP_TWOBIT_COUNTS = {
+    "smoke-2p1b": (26, 25),
+    "2p2b": (36, 35),
+    "3p1b": (1321, 953),
+    "evict-1frame": (176, 138),
+    "mreq-cancel-late": (262, 192),
+}
+
+
+def test_deep_twobit_schedule_and_state_counts_are_pinned():
+    results = check_protocol("twobit", depth="deep")
+    counts = {r.scenario: (r.schedules_run, r.states_seen) for r in results}
+    assert counts == DEEP_TWOBIT_COUNTS
+    assert all(r.exhausted and r.ok for r in results)
+
+
+# ----------------------------------------------------------------------
 # Slow tier: the full deep matrix (nightly CI).
 # ----------------------------------------------------------------------
 @pytest.mark.slow
