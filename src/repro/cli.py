@@ -702,6 +702,14 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_rates(schedules: int, states: int, elapsed_s: float) -> str:
+    elapsed_s = max(elapsed_s, 1e-9)
+    return (
+        f"{schedules / elapsed_s:.0f} schedules/s "
+        f"{states / elapsed_s:.0f} states/s"
+    )
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     from repro.verification import differential, model_check
     from repro.verification.schedules import parse_schedule
@@ -768,6 +776,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0 if outcome.status == "ok" else 1
 
     failed = False
+    checked = []
     for protocol in protocols:
         results = model_check.check_protocol(
             protocol,
@@ -776,8 +785,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             max_steps=args.max_steps,
             faults=faults,
         )
+        checked.extend(results)
         for result in results:
-            print(result.summary())
+            rates = _check_rates(
+                result.schedules_run, result.states_seen, result.elapsed_s
+            )
+            print(f"{result.summary()}  {rates}")
             if not result.exhausted and result.ok:
                 print(
                     f"  WARNING: stopped at --max-schedules="
@@ -797,6 +810,13 @@ def cmd_check(args: argparse.Namespace) -> int:
                     )
                     args.trace_out = None  # keep only the first failure
                 print()
+    schedules = sum(r.schedules_run for r in checked)
+    states = sum(r.states_seen for r in checked)
+    elapsed_s = sum(r.elapsed_s for r in checked)
+    print(
+        f"total: {schedules} schedules, {states} states in {elapsed_s:.2f} s"
+        f" ({_check_rates(schedules, states, elapsed_s)})"
+    )
 
     if args.differential > 0:
         base = args.seed if args.seed is not None else 0

@@ -371,17 +371,22 @@ class Simulator:
         entries.sort(key=lambda entry: (entry[1], entry[2]))
         return entries
 
-    def step_select(self, index: int) -> None:
+    def step_select(
+        self, index: int, entries: Optional[List[_Entry]] = None
+    ) -> None:
         """Execute the ``index``-th entry of :meth:`enabled`.
 
         The model checker's counterpart to :meth:`step`:
         ``step_select(0)`` is exactly ``step()``, any other index runs a
-        same-cycle event out of its deterministic order.  Removal is
-        O(n) + heapify — acceptable because model-checked configurations
-        keep the queue tiny; the production :meth:`run` path is
-        untouched.
+        same-cycle event out of its deterministic order.  A caller that
+        has just called :meth:`enabled` (and not changed the queue since)
+        passes its result as ``entries`` to skip computing it again.
+        Removal is O(n) + heapify — acceptable because model-checked
+        configurations keep the queue tiny; the production :meth:`run`
+        path is untouched.
         """
-        entries = self.enabled()
+        if entries is None:
+            entries = self.enabled()
         if not 0 <= index < len(entries):
             raise SimulationError(
                 f"step_select({index}): only {len(entries)} enabled events"

@@ -6,8 +6,9 @@ registered protocol.  The only nondeterminism the kernel has is the
 order of same-cycle events, so the checker enumerates exactly that: at
 each *decision point* (more than one event enabled) it explores every
 choice index depth-first, replaying the deterministic prefix from a
-fresh machine each time (stateless search: the simulator cannot be
-checkpointed, but it replays bit-identically).
+fresh machine each time (stateless search: the simulator replays
+bit-identically, and restoring a pickled snapshot of a scenario machine
+costs about as much as building one and replaying the prefix).
 
 Checked properties:
 
@@ -36,6 +37,7 @@ full event trace, reproducible via ``repro check --replay``.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -290,7 +292,7 @@ def replay_schedule(
                 trace=trace,
             )
         try:
-            sim.step_select(idx)
+            sim.step_select(idx, choices)
         except CoherenceViolation as exc:
             return RunOutcome(
                 "violation", decisions, detail=str(exc), steps=steps,
@@ -386,6 +388,8 @@ class ModelCheckResult:
     max_decisions: int
     exhausted: bool
     counterexample: Optional[Counterexample] = None
+    #: Wall time of the exploration (counterexample shrinking included).
+    elapsed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -427,6 +431,8 @@ def explore(
     shrink and replay exactly as in the fault-free mode.
     """
 
+    started = time.perf_counter()
+
     def fresh() -> Machine:
         machine = build_scenario_machine(protocol, scenario, faults=faults)
         if mutate is not None:
@@ -464,6 +470,7 @@ def explore(
                     trace=counter.trace,
                     trace_events=trace_events,
                 ),
+                elapsed_s=time.perf_counter() - started,
             )
         nxt = _next_prefix(outcome.decisions)
         if nxt is None or runs >= max_schedules:
@@ -477,6 +484,7 @@ def explore(
         states_seen=len(visited) if visited is not None else 0,
         max_decisions=max_decisions,
         exhausted=not truncated,
+        elapsed_s=time.perf_counter() - started,
     )
 
 

@@ -22,9 +22,12 @@ This module provides the pieces the checker composes:
 from __future__ import annotations
 
 import random
+from collections import deque
 from enum import Enum
 from functools import partial
-from typing import Any, Dict, List, Tuple
+from operator import attrgetter, itemgetter
+from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 # ----------------------------------------------------------------------
@@ -81,60 +84,86 @@ def describe_entry(entry: Tuple) -> str:
 # ----------------------------------------------------------------------
 # State fingerprinting
 # ----------------------------------------------------------------------
-#: Attribute names that are measurement/bookkeeping only: they never feed
-#: back into protocol behaviour, so excluding them merges states that
-#: differ only in statistics.  Anything NOT listed here is included —
-#: erring toward inclusion is always sound (it only reduces pruning).
-_SKIP_ATTRS = frozenset(
-    {
-        "counters",
-        "latency_histogram",
-        "stream",  # position is captured by Processor.issued
-        "on_drained",
-        "sim",
-        "_sim",
-        "config",
-        "timing",
-        "options",
-        "home_fn",
-        "max_concurrency",
-        "max_queue_depth",
-        "max_depth",
-        "transitions",
-        "_time_in",
-        "_since",
-        "_clock",  # TwoBitDirectory's stats clock callable
-        "_acc",
-        "reads_checked",
-        "writes_committed",
-        "hits",
-        "misses",
-        "_start_fn",
-        "_deliver_fns",
-        "_endpoints",
-        "exhausted",
-        "obs",  # Simulator's observability hub (telemetry only)
-        "observer",  # TwoBitDirectory's transition probe callback
-        # Processor fast-path bookkeeping: batched statistics, and the
-        # constant transition-table fields and component aliases it
-        # caches (the cache array and oracle are frozen at their owners).
-        "_cpend",
-        "_hpend",
-        "fused_fast",
-        "_kernel",
-        "_has_op_flag",
-        "_pre_shared_escape",
-        "_lookup_phase",
-        "_r_clean",
-        "_r_dirty",
-        "_w_clean",
-        "_w_dirty",
-        "_lru_touch",
-        "_replayable",
-        "_array",
-        "_oracle",
-    }
-)
+#: A state fingerprint: one flat tuple of atoms (see StateFingerprinter).
+Fingerprint = Tuple[Any, ...]
+
+_KERNEL = "the event kernel; its queue is frozen separately"
+_STATS = "statistics only; never read back by protocol logic"
+_CONFIG = "build-time configuration, equal on every machine of a search"
+_WIRING = "constant wiring fixed at build time"
+_DISPATCH = "message-kind dispatch table; constant wiring"
+
+#: Fields that never feed back into protocol behaviour, per class, each
+#: with the reason it may be dropped.  An entry applies to the class it
+#: names and to every subclass; dropping a field merges states that
+#: differ only in it.  Anything not listed is included — erring toward
+#: inclusion is always sound (it only reduces pruning).
+_SKIP_FIELDS: Dict[str, Dict[str, str]] = {
+    "Component": {"sim": _KERNEL, "counters": _STATS},
+    "AbstractCacheController": {"config": _CONFIG},
+    "AbstractMemoryController": {"config": _CONFIG},
+    "SnoopBusManager": {"config": _CONFIG},
+    "DirectoryCacheController": {
+        "home_fn": _WIRING,
+        "_deliver_table": _DISPATCH,
+    },
+    "ClassicalCacheController": {"home_fn": _WIRING},
+    "StaticCacheController": {"home_fn": _WIRING},
+    "TwoBitDirectoryController": {
+        "_deliver_table": _DISPATCH,
+    },
+    "Network": {"_deliver_fns": _WIRING, "_endpoints": _WIRING},
+    "Processor": {
+        "stream": "its position is captured by Processor.issued",
+        "exhausted": "follows from the script length and Processor.issued",
+        "on_drained": _WIRING,
+        "latency_histogram": _STATS,
+        "fused_fast": _STATS,
+        # Fast-path bookkeeping: batched statistics, and the constant
+        # transition-table fields and component aliases it caches (the
+        # cache array and oracle are frozen at their owners).
+        "_acc": _STATS,
+        "_cpend": _STATS,
+        "_hpend": _STATS,
+        "_kernel": _WIRING,
+        "_has_op_flag": _WIRING,
+        "_pre_shared_escape": _WIRING,
+        "_lookup_phase": _WIRING,
+        "_r_clean": _WIRING,
+        "_r_dirty": _WIRING,
+        "_w_clean": _WIRING,
+        "_w_dirty": _WIRING,
+        "_lru_touch": _WIRING,
+        "_replayable": _WIRING,
+        "_array": "alias of the cache's array, frozen at the cache",
+        "_oracle": "alias of the machine's oracle, frozen once",
+    },
+    "CacheArray": {
+        # Sound only because no policy reads the clock's absolute value:
+        # lines are stamped with it, and replacement compares stamps
+        # with each other (LRU, FIFO) or with 0 ("never stamped"), so
+        # states whose clocks differ behave alike.
+        "_clock": "LRU use counter; replacement compares stamps relatively",
+    },
+    "TwoBitDirectory": {
+        "_clock": "stats clock callable",
+        "_since": _STATS,
+        "_time_in": _STATS,
+        "transitions": _STATS,
+        "observer": "transition probe callback (telemetry)",
+    },
+    "TransactionEngine": {
+        "_start_fn": _WIRING,
+        "max_concurrency": _STATS,
+        "max_queue_depth": _STATS,
+    },
+    "TranslationBuffer": {"hits": _STATS, "misses": _STATS},
+    "CoherenceOracle": {"reads_checked": _STATS, "writes_committed": _STATS},
+    "FaultInjector": {"sim": _KERNEL, "counters": _STATS},
+    "Message": {
+        "uid": "never read by protocol logic; drawn from a global counter",
+    },
+}
 
 #: Classes frozen to a constant (pure configuration / statistics).
 _SKIP_CLASSES = frozenset(
@@ -149,6 +178,11 @@ _SKIP_CLASSES = frozenset(
         "FaultSpec",  # frozen plan data; behaviour is in the injector RNG
     }
 )
+
+#: Callable classes that are pure wiring: an instance freezes to its
+#: class name, like a function.  Any other callable object is frozen
+#: field by field.
+_WIRING_CALLABLES = frozenset({"_CacheHoldersFn"})
 
 #: Dict-valued attributes whose values are transaction uids that must be
 #: canonically renumbered (module-global counters differ across replays).
@@ -180,6 +214,83 @@ def _uid_tuple_sort_key(t: tuple):
 _UID_META_KEYS = frozenset({"txn", "ej"})
 
 
+class _Mark:
+    """A marker in the flat encoding; equal only to itself, so no atom
+    of machine state can be mistaken for one."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"<{self.name}>"
+
+
+_SEQ, _SET, _DICT, _DEQUE, _META = (
+    _Mark(n) for n in ("seq", "set", "dict", "deque", "meta")
+)
+_UID, _UID_VALUES, _UID_SET, _UID_KEYS = (
+    _Mark(n) for n in ("uid", "uid-values", "uid-set", "uid-keys")
+)
+_OBJ, _REF, _CYCLE, _SKIP, _ENUM = (
+    _Mark(n) for n in ("obj", "ref", "cycle", "skip", "enum")
+)
+_FN, _METHOD, _PARTIAL, _RNG, _FAULTS = (
+    _Mark(n) for n in ("fn", "method", "partial", "rng", "faults")
+)
+
+#: Types emitted as themselves (exact types; subclasses are classified
+#: once by :func:`_handler_for`).
+_ATOMS = frozenset({type(None), bool, int, float, str, bytes})
+
+
+def _skip_fields(cls: type) -> Dict[str, str]:
+    """The :data:`_SKIP_FIELDS` entries that apply to ``cls``."""
+    fields: Dict[str, str] = {}
+    for klass in reversed(cls.__mro__):
+        fields.update(_SKIP_FIELDS.get(klass.__name__, ()))
+    return fields
+
+
+class _Plan:
+    """How to freeze instances of one class with one attribute set.
+
+    ``token`` opens the object in the flat encoding and names its kept
+    attributes, so the values that follow need no labels; ``get`` fetches
+    those values in sorted attribute order; ``special`` holds, per value,
+    the uid-canonicalizing emitter it needs (None for a plain value).
+    """
+
+    __slots__ = ("token", "get", "special", "dropped")
+
+    def __init__(self, cls: type, attrs: Sequence[str], slotted: bool) -> None:
+        skip = _skip_fields(cls)
+        name = cls.__name__
+        kept = tuple(a for a in sorted(attrs) if a not in skip)
+        self.dropped = tuple(
+            (name, a) for a in sorted(set(attrs)) if a in skip
+        )
+        self.token = (_OBJ, name, kept)
+        self.special = tuple(_special_emitter(name, a) for a in kept)
+        fetch = attrgetter if slotted else itemgetter
+        if not kept:
+            self.get = lambda obj: ()
+        elif len(kept) == 1:
+            one = fetch(kept[0])
+            self.get = lambda obj: (one(obj),)
+        else:
+            self.get = fetch(*kept)
+
+
+#: Plans by (class, instance attribute names); None for slotted classes.
+#: Process-wide: a plan depends only on its key and the constant tables
+#: above, and ``replay_schedule`` builds a fingerprinter per schedule.
+_PLANS: Dict[Tuple[type, Optional[tuple]], _Plan] = {}
+#: Emitter by exact value type (see :func:`_handler_for`).
+_HANDLERS: Dict[type, Callable[["StateFingerprinter", Any], None]] = {}
+
+
 class StateFingerprinter:
     """Structural, replay-stable fingerprint of a whole machine.
 
@@ -192,189 +303,353 @@ class StateFingerprinter:
     replays that reach structurally identical states produce identical
     fingerprints even though their raw uids differ.
 
+    A fingerprint is one flat tuple of atoms: ints, strings and the like
+    as they are, containers as a marker and a length followed by their
+    items, objects as a token naming their class and kept attributes
+    followed by the attribute values.  Dict and set items appear sorted
+    by the ``repr`` of their key (of the key's encoding, for keys that
+    are not atoms), so insertion history never splits states.  How to
+    walk each class is compiled once into a :class:`_Plan` and shared by
+    every fingerprinter.
+
     A fresh instance is required per fingerprint call set against one
     machine; the component identity map is built once.
     """
 
     def __init__(self, machine) -> None:
         self.machine = machine
-        self._component_names: Dict[int, str] = {}
-        for comp in self._components():
-            self._component_names[id(comp)] = comp.name
-        self._component_names[id(machine.oracle)] = "oracle"
-
-    def _components(self) -> List[Any]:
-        m = self.machine
-        return [
+        m = machine
+        self._components: List[Any] = [
             *m.processors,
             *m.caches,
             *m.controllers,
             *m.modules,
             *m.managers,
             m.network,
+            m.oracle,
         ]
+        #: id -> the token that stands for a component referenced from
+        #: outside its own walk.
+        self._refs: Dict[int, tuple] = {
+            id(comp): (_REF, comp.name) for comp in self._components[:-1]
+        }
+        self._refs[id(m.oracle)] = (_REF, "oracle")
+        #: Plans this fingerprinter has used (see :meth:`dropped_fields`).
+        self._plans: Dict[Tuple[type, Optional[tuple]], _Plan] = {}
 
-    def fingerprint(self) -> Tuple:
+    def fingerprint(self) -> Fingerprint:
         """Hashable state snapshot (see class docstring)."""
-        self._uid_map: Dict[int, int] = {}
-        self._in_progress: set = set()
-        self._emit_target: int = 0
-        parts = [("now", self.machine.sim.now)]
+        out: List[Any] = []
+        self._out = out
+        self._append = out.append
+        self._uids: Dict[int, int] = {}
+        self._active: set = set()
+        self._target = 0
+        sim = self.machine.sim
+        out.append(sim.now)
         faults = getattr(self.machine, "faults", None)
         if faults is not None:
             # The injector's RNG stream, path cursors, and stall windows
             # all feed back into future behaviour.
-            parts.append(("faults", self._freeze(faults)))
-        for comp in [*self._components(), self.machine.oracle]:
+            out.append(_FAULTS)
+            self._emit(faults)
+        for comp in self._components:
             # While a component is the emit target it is frozen in full;
-            # any reference to a *different* component collapses to
-            # ("ref", name), so each component's state appears exactly
-            # once no matter how densely the wiring cross-links them.
-            self._emit_target = id(comp)
-            label = self._component_names[id(comp)]
-            parts.append((label, self._freeze_object(comp)))
-        self._emit_target = 0
-        parts.append(("queue", self._freeze_queue()))
-        return tuple(parts)
-
-    # -- helpers -------------------------------------------------------
-    def _canon_uid(self, uid: Any) -> Any:
-        if not isinstance(uid, int):
-            return self._freeze(uid)
-        return ("uid", self._uid_map.setdefault(uid, len(self._uid_map)))
-
-    def _freeze_queue(self) -> Tuple:
-        sim = self.machine.sim
-        live = [
+            # any reference to a *different* component collapses to its
+            # ref token, so each component's state appears exactly once
+            # no matter how densely the wiring cross-links them.
+            self._target = id(comp)
+            self._emit(comp)
+        self._target = 0
+        # seq is omitted: only the relative order matters for future
+        # behaviour, and absolute values depend on how many events the
+        # particular interleaving has allocated so far.  (Sorting the
+        # entries themselves orders by (time, tie, seq): seq is unique.)
+        live = sorted(
             entry
             for entry in sim._queue
             if entry[3] is None or not entry[3].cancelled
-        ]
-        live.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-        # seq is omitted: only the relative order matters for future
-        # behaviour, and absolute values depend on how many events the
-        # particular interleaving has allocated so far.
-        return tuple(
-            (entry[0], self._freeze(entry[4]), self._freeze(entry[5]))
-            for entry in live
+        )
+        out.append(len(live))
+        for entry in live:
+            out.append(entry[0])
+            self._emit(entry[4])
+            self._emit(entry[5])
+        return tuple(out)
+
+    def dropped_fields(self) -> List[Tuple[str, str]]:
+        """Sorted (class, attribute) pairs this fingerprinter's walks
+        have left out of the state (see :data:`_SKIP_FIELDS`)."""
+        return sorted(
+            {pair for plan in self._plans.values() for pair in plan.dropped}
         )
 
-    def _freeze(self, obj: Any) -> Any:
-        if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
-            return obj
-        if isinstance(obj, Enum):
-            return ("enum", type(obj).__name__, obj.name)
-        if isinstance(obj, (tuple, list)):
-            return tuple(self._freeze(item) for item in obj)
-        if isinstance(obj, (set, frozenset)):
-            return (
-                "set",
-                tuple(sorted((self._freeze(i) for i in obj), key=repr)),
-            )
-        if isinstance(obj, dict):
-            items = [
-                (self._freeze(k), self._freeze(v)) for k, v in obj.items()
-            ]
-            items.sort(key=lambda kv: repr(kv[0]))
-            return ("dict", tuple(items))
-        if isinstance(obj, partial):
-            return (
-                "partial",
-                self._freeze(obj.func),
-                self._freeze(obj.args),
-                self._freeze(obj.keywords),
-            )
-        if isinstance(obj, random.Random):
-            return ("rng", obj.getstate())
-        bound_self = getattr(obj, "__self__", None)
-        if callable(obj):
-            name = getattr(obj, "__qualname__", None) or getattr(
-                obj, "__name__", type(obj).__name__
-            )
-            if bound_self is not None:
-                return ("method", self._freeze(bound_self), name)
-            return ("fn", name)
-        # deque and other iterable containers without dict semantics:
-        if type(obj).__name__ == "deque":
-            return ("deque", tuple(self._freeze(item) for item in obj))
-        return self._freeze_object(obj)
+    # -- emitters ------------------------------------------------------
+    def _emit(self, obj: Any) -> None:
+        kind = type(obj)
+        if kind in _ATOMS:
+            self._append(obj)
+        else:
+            (_HANDLERS.get(kind) or _handler_for(kind))(self, obj)
 
-    def _freeze_object(self, obj: Any) -> Any:
-        cls = type(obj).__name__
-        if cls in _SKIP_CLASSES:
-            return ("skip", cls)
-        name = self._component_names.get(id(obj))
-        if name is not None and id(obj) != self._emit_target:
-            return ("ref", name)
-        if id(obj) in self._in_progress:
-            return ("cycle", cls)
-        self._in_progress.add(id(obj))
+    def _emit_uid(self, uid: Any) -> None:
+        if isinstance(uid, int):
+            uids = self._uids
+            self._append(_UID)
+            self._append(uids.setdefault(uid, len(uids)))
+        else:
+            self._emit(uid)
+
+    def _emit_object(self, obj: Any, slotted: bool = False) -> None:
+        oid = id(obj)
+        ref = self._refs.get(oid)
+        if ref is not None and oid != self._target:
+            self._append(ref)
+            return
+        active = self._active
+        if oid in active:
+            self._append((_CYCLE, type(obj).__name__))
+            return
+        cls = type(obj)
+        if slotted:
+            source = obj
+            key = (cls, None)
+        else:
+            source = obj.__dict__
+            key = (cls, tuple(source))
+        plan = self._plans.get(key) or self._load_plan(key, slotted)
         try:
-            if hasattr(obj, "__dict__"):
-                attrs = sorted(obj.__dict__)
-                getter = obj.__dict__.__getitem__
+            values = plan.get(source)
+        except AttributeError:
+            # An unset slot: plan for the slots this instance has.
+            key = (cls, tuple(a for a in _all_slots(cls) if hasattr(obj, a)))
+            plan = self._plans.get(key) or self._load_plan(key, True)
+            values = plan.get(obj)
+        active.add(oid)
+        append = self._append
+        append(plan.token)
+        for special, value in zip(plan.special, values):
+            if special is not None:
+                special(self, value)
+            elif type(value) in _ATOMS:
+                append(value)
             else:
-                attrs = sorted(
-                    a
-                    for klass in type(obj).__mro__
-                    for a in getattr(klass, "__slots__", ())
-                )
-                getter = lambda a: getattr(obj, a)  # noqa: E731
-            fields = []
-            for attr in attrs:
-                if attr in _SKIP_ATTRS:
-                    continue
-                try:
-                    value = getter(attr)
-                except AttributeError:
-                    continue
-                if cls == "Message" and attr == "uid":
-                    continue  # never read by protocol logic; replay-varying
-                if attr == "uid":
-                    fields.append((attr, self._canon_uid(value)))
-                elif cls == "Message" and attr == "meta":
-                    fields.append((attr, self._freeze_meta(value)))
-                elif attr in _UID_VALUE_ATTRS and isinstance(value, dict):
-                    frozen = [
-                        (self._freeze(k), self._canon_uid(v))
-                        for k, v in value.items()
-                    ]
-                    frozen.sort(key=lambda kv: repr(kv[0]))
-                    fields.append((attr, tuple(frozen)))
-                elif attr in _UID_TUPLE_SET_ATTRS and isinstance(
-                    value, (set, frozenset)
-                ):
-                    frozen = tuple(
-                        tuple(self._freeze(x) for x in t[:-1])
-                        + (self._canon_uid(t[-1]),)
-                        for t in sorted(value, key=_uid_tuple_sort_key)
-                    )
-                    fields.append((attr, frozen))
-                elif attr in _UID_TUPLE_KEY_ATTRS and isinstance(value, dict):
-                    frozen = tuple(
-                        (
-                            tuple(self._freeze(x) for x in k[:-1])
-                            + (self._canon_uid(k[-1]),),
-                            self._freeze(v),
-                        )
-                        for k, v in sorted(
-                            value.items(),
-                            key=lambda kv: _uid_tuple_sort_key(kv[0]),
-                        )
-                    )
-                    fields.append((attr, frozen))
-                else:
-                    fields.append((attr, self._freeze(value)))
-            return (cls, tuple(fields))
-        finally:
-            self._in_progress.discard(id(obj))
+                kind = type(value)
+                (_HANDLERS.get(kind) or _handler_for(kind))(self, value)
+        active.discard(oid)
 
-    def _freeze_meta(self, meta: dict) -> Any:
-        items = []
-        for key, value in meta.items():
-            if key in _UID_META_KEYS:
-                items.append((key, self._canon_uid(value)))
+    def _load_plan(self, key, slotted: bool) -> _Plan:
+        plan = _PLANS.get(key)
+        if plan is None:
+            cls, attrs = key
+            plan = _PLANS[key] = _Plan(
+                cls, _all_slots(cls) if attrs is None else attrs, slotted
+            )
+        self._plans[key] = plan
+        return plan
+
+    def _emit_seq(self, seq: Any, mark: _Mark = _SEQ) -> None:
+        append = self._append
+        append(mark)
+        append(len(seq))
+        for item in seq:
+            if type(item) in _ATOMS:
+                append(item)
             else:
-                items.append((key, self._freeze(value)))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return ("meta", tuple(items))
+                self._emit(item)
+
+    def _emit_deque(self, seq: Any) -> None:
+        self._emit_seq(seq, _DEQUE)
+
+    def _emit_set(self, items: Any) -> None:
+        if all(type(item) in _ATOMS for item in items):
+            self._append(_SET)
+            self._append(len(items))
+            self._out.extend(sorted(items, key=repr))
+        else:
+            self._emit_items(_SET, dict.fromkeys(items), _no_value)
+
+    def _emit_dict(self, mapping: dict) -> None:
+        self._emit_items(_DICT, mapping, _plain_value)
+
+    def _emit_meta(self, meta: dict) -> None:
+        """Message.meta: a dict whose uid-bearing keys are renumbered."""
+        self._emit_items(_META, meta, _meta_value)
+
+    def _emit_uid_values(self, value: Any) -> None:
+        """A dict whose values are uids (see :data:`_UID_VALUE_ATTRS`)."""
+        if isinstance(value, dict):
+            self._emit_items(_UID_VALUES, value, _uid_value)
+        else:
+            self._emit(value)
+
+    def _emit_items(self, mark: _Mark, mapping: dict, emit_value) -> None:
+        """``mark``, the length, then each key and its value, ordered by
+        the ``repr`` of the key (of the key's encoding, for a key that
+        is not an atom).
+
+        Items are emitted in iteration order first, so uids are numbered
+        in that order as before; only then are the emitted runs sorted.
+        """
+        append = self._append
+        append(mark)
+        append(len(mapping))
+        if len(mapping) == 1:
+            for key, value in mapping.items():
+                self._emit(key)
+                emit_value(self, key, value)
+            return
+        out = self._out
+        runs = []
+        for key, value in mapping.items():
+            start = len(out)
+            self._emit(key)
+            order = (
+                repr(key) if type(key) in _ATOMS else repr(tuple(out[start:]))
+            )
+            emit_value(self, key, value)
+            runs.append((order, out[start:]))
+            del out[start:]
+        runs.sort(key=itemgetter(0))
+        for _, run in runs:
+            out.extend(run)
+
+    def _emit_uid_tuple(self, t: tuple) -> None:
+        append = self._append
+        append(len(t))
+        for item in t[:-1]:
+            self._emit(item)
+        self._emit_uid(t[-1])
+
+    def _emit_uid_set(self, value: Any) -> None:
+        """A set of uid-ended tuples (see :data:`_UID_TUPLE_SET_ATTRS`)."""
+        if not isinstance(value, (set, frozenset)):
+            self._emit(value)
+            return
+        self._append(_UID_SET)
+        self._append(len(value))
+        for t in sorted(value, key=_uid_tuple_sort_key):
+            self._emit_uid_tuple(t)
+
+    def _emit_uid_keys(self, value: Any) -> None:
+        """A dict keyed by uid-ended tuples (:data:`_UID_TUPLE_KEY_ATTRS`)."""
+        if not isinstance(value, dict):
+            self._emit(value)
+            return
+        self._append(_UID_KEYS)
+        self._append(len(value))
+        for key in sorted(value, key=_uid_tuple_sort_key):
+            self._emit_uid_tuple(key)
+            self._emit(value[key])
+
+    def _emit_partial(self, fn: partial) -> None:
+        self._append(_PARTIAL)
+        self._emit(fn.func)
+        self._emit_seq(fn.args)
+        self._emit_dict(fn.keywords)
+
+    def _emit_rng(self, rng: random.Random) -> None:
+        self._append(_RNG)
+        self._append(rng.getstate())
+
+    def _emit_callable(self, fn: Any) -> None:
+        """A function freezes to its name, a bound method to its owner
+        and name."""
+        owner = getattr(fn, "__self__", None)
+        if owner is None or isinstance(owner, ModuleType):
+            self._append((_FN, fn.__qualname__))
+        else:
+            self._append(_METHOD)
+            self._emit(owner)
+            self._append(fn.__qualname__)
+
+
+def _plain_value(fp: StateFingerprinter, key: Any, value: Any) -> None:
+    fp._emit(value)
+
+
+def _no_value(fp: StateFingerprinter, key: Any, value: Any) -> None:
+    pass
+
+
+def _uid_value(fp: StateFingerprinter, key: Any, value: Any) -> None:
+    fp._emit_uid(value)
+
+
+def _meta_value(fp: StateFingerprinter, key: Any, value: Any) -> None:
+    if key in _UID_META_KEYS:
+        fp._emit_uid(value)
+    else:
+        fp._emit(value)
+
+
+def _all_slots(cls: type) -> tuple:
+    return tuple(
+        a for klass in cls.__mro__ for a in getattr(klass, "__slots__", ())
+    )
+
+
+def _special_emitter(cls_name: str, attr: str) -> Optional[Callable]:
+    """The uid-canonicalizing emitter ``cls_name.attr`` needs, if any."""
+    if attr == "uid":
+        return StateFingerprinter._emit_uid
+    if cls_name == "Message" and attr == "meta":
+        return StateFingerprinter._emit_meta
+    if attr in _UID_VALUE_ATTRS:
+        return StateFingerprinter._emit_uid_values
+    if attr in _UID_TUPLE_SET_ATTRS:
+        return StateFingerprinter._emit_uid_set
+    if attr in _UID_TUPLE_KEY_ATTRS:
+        return StateFingerprinter._emit_uid_keys
+    return None
+
+
+def _constant(token: tuple) -> Callable[[StateFingerprinter, Any], None]:
+    return lambda fp, obj: fp._append(token)
+
+
+def _enum_handler(cls: type) -> Callable[[StateFingerprinter, Any], None]:
+    tokens = {name: (_ENUM, cls.__name__, name) for name in cls.__members__}
+
+    def emit(fp: StateFingerprinter, member: Enum) -> None:
+        name = member._name_
+        fp._append(tokens.get(name) or (_ENUM, cls.__name__, name))
+
+    return emit
+
+
+def _handler_for(cls: type) -> Callable[[StateFingerprinter, Any], None]:
+    """Classify a value type once; the emitter is cached per class."""
+    fp = StateFingerprinter
+    if issubclass(cls, (bool, int, float, str, bytes)):
+        handler = lambda fp, obj: fp._append(obj)  # noqa: E731
+    elif issubclass(cls, Enum):
+        handler = _enum_handler(cls)
+    elif issubclass(cls, (tuple, list)):
+        handler = fp._emit_seq
+    elif issubclass(cls, (set, frozenset)):
+        handler = fp._emit_set
+    elif issubclass(cls, dict):
+        handler = fp._emit_dict
+    elif issubclass(cls, partial):
+        handler = fp._emit_partial
+    elif issubclass(cls, random.Random):
+        handler = fp._emit_rng
+    elif issubclass(cls, (FunctionType, MethodType, BuiltinFunctionType)):
+        handler = fp._emit_callable
+    elif cls.__name__ in _WIRING_CALLABLES:
+        handler = _constant((_FN, cls.__name__))
+    elif issubclass(cls, deque):
+        handler = fp._emit_deque
+    elif cls.__name__ in _SKIP_CLASSES:
+        handler = _constant((_SKIP, cls.__name__))
+    elif cls.__dictoffset__:
+        handler = fp._emit_object
+    else:
+        handler = _emit_slotted
+    _HANDLERS[cls] = handler
+    return handler
+
+
+def _emit_slotted(fp: StateFingerprinter, obj: Any) -> None:
+    fp._emit_object(obj, slotted=True)

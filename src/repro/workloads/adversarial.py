@@ -24,10 +24,22 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.workloads.reference import MemRef, Op
 from repro.workloads.synthetic import HIGH_SHARING, ScriptedWorkload
+
+if TYPE_CHECKING:
+    from repro.verification.schedules import Fingerprint
 
 
 def _model_check():
@@ -332,7 +344,7 @@ def _explore(
     objective: Objective,
     faults,
     max_steps: int,
-) -> Tuple[_Probe, Set[int]]:
+) -> Tuple[_Probe, Set[Fingerprint]]:
     """One seeded random walk over the candidate's schedule space.
 
     Mirrors :func:`replay_schedule`'s stepping discipline exactly, so
@@ -346,7 +358,7 @@ def _explore(
         proc.budget = len(script)
         proc.resume()
     schedule: List[int] = []
-    coverage: Set[int] = set()
+    coverage: Set[Fingerprint] = set()
     steps = 0
     status = "ok"
     while True:
@@ -364,7 +376,7 @@ def _explore(
             status = "livelock"
             break
         try:
-            sim.step_select(idx)
+            sim.step_select(idx, choices)
         except Exception:  # violations/crashes are the checker's quarry,
             status = "crash"  # not ours — adversarial search wants legal
             break  # runs that are merely expensive.
@@ -518,7 +530,7 @@ def hunt(
 
     rng = random.Random(f"hunt-{seed}")
     max_len = 2 * script_len
-    seen: Set[int] = set()
+    seen: Set[Fingerprint] = set()
     corpus: List[CorpusEntry] = []
     history: List[float] = []
     evaluations = 0
@@ -530,7 +542,7 @@ def hunt(
             cache_assoc=cache_assoc,
         )
         best_probe: Optional[_Probe] = None
-        fresh: Set[int] = set()
+        fresh: Set[Fingerprint] = set()
         for _ in range(probes):
             evaluations += 1
             probe, cov = _explore(

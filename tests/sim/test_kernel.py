@@ -281,6 +281,19 @@ def test_step_select_reorders_ties():
     assert not sim.enabled()
 
 
+def test_step_select_reuses_the_callers_enabled_entries():
+    sim = Simulator()
+    order = []
+    for tag in ("a", "b", "c"):
+        sim.schedule(1, order.append, tag)
+    while True:
+        entries = sim.enabled()
+        if not entries:
+            break
+        sim.step_select(len(entries) - 1, entries)
+    assert order == ["c", "b", "a"]
+
+
 def test_step_select_rejects_out_of_range():
     sim = Simulator()
     sim.schedule(1, lambda: None)

@@ -108,6 +108,8 @@ def test_check_smoke_single_protocol(capsys):
     assert code == 0
     assert "PASS (exhausted)" in out
     assert "all protocols agree" in out
+    assert "schedules/s" in out and "states/s" in out
+    assert "total: 26 schedules, 25 states in" in out
 
 
 def test_check_accepts_protocol_alias(capsys):

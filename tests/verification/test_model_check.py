@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults.plan import parse_faults
 from repro.protocols import registry
 from repro.verification.model_check import (
     DEEP_SCENARIOS,
     SMOKE_SCENARIO,
+    _next_prefix,
     build_scenario_machine,
     check_protocol,
     explore,
@@ -53,6 +55,61 @@ def test_pruning_is_sound():
     assert pruned.exhausted and full.exhausted
     # Pruning must only ever skip work, never add it.
     assert pruned.schedules_run <= full.schedules_run
+
+
+class _EveryState(set):
+    """A visited set that records every fingerprint but prunes nothing."""
+
+    def __contains__(self, fingerprint) -> bool:
+        return False
+
+
+def _unpruned_search(scenario, faults):
+    """Run every schedule of the unpruned search, each must pass; returns
+    the schedule count and the distinct fingerprints at decision points.
+
+    Each replay fingerprints the decision points past its prefix, so
+    together the replays cover the whole tree."""
+    states = _EveryState()
+    prefix = []
+    schedules = 0
+    while True:
+        outcome = replay_schedule(
+            build_scenario_machine("twobit", scenario, faults=faults),
+            scenario,
+            prefix,
+            visited=states,
+        )
+        schedules += 1
+        assert not outcome.failed, outcome.detail
+        prefix = _next_prefix(outcome.decisions)
+        if prefix is None:
+            return schedules, states
+
+
+@pytest.mark.parametrize(
+    "scenario, fault_plan, unpruned_schedules",
+    [
+        (SMOKE_SCENARIO, None, 360),
+        (DEEP_SCENARIOS[1], None, 1152),  # 2p2b
+        (SMOKE_SCENARIO, "check", 108),
+        (DEEP_SCENARIOS[1], "check", 192),
+    ],
+    ids=["smoke", "2p2b", "smoke-check", "2p2b-check"],
+)
+def test_pruned_search_visits_every_reachable_state(
+    scenario, fault_plan, unpruned_schedules
+):
+    """Pruning is sound: every schedule of the unpruned search passes,
+    as the pruned search does, and the pruned search still visits every
+    state the unpruned search reaches at a decision point — merging two
+    states never hid a third."""
+    faults = parse_faults(fault_plan) if fault_plan else None
+    pruned = explore("twobit", scenario, faults=faults)
+    assert pruned.ok and pruned.exhausted
+    schedules, states = _unpruned_search(scenario, faults)
+    assert schedules == unpruned_schedules
+    assert pruned.states_seen == len(states)
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +184,43 @@ def test_injected_dropped_invalidation_deadlocks():
     assert counter is not None, "dropped-invalidation bug was not caught"
     assert counter.status == "deadlock"
     assert "still have work" in counter.detail
+
+
+@pytest.mark.parametrize(
+    "bug, scenario, status, schedule, detail, explored",
+    [
+        (
+            _stale_read_bug,
+            DEEP_SCENARIOS[1],
+            "violation",
+            [0] * 10,
+            "P1 read block 1 -> v2 (issued t=80, requires >= v3)",
+            (1, 10),
+        ),
+        (
+            _dropped_invalidation_bug,
+            SMOKE_SCENARIO,
+            "deadlock",
+            [0] * 4,
+            "no enabled events but ['P0', 'P1'] still have work",
+            (1, 4),
+        ),
+    ],
+    ids=["stale-read", "dropped-invalidation"],
+)
+def test_injected_bug_counterexamples_are_pinned(
+    bug, scenario, status, schedule, detail, explored
+):
+    """What the checker reports for each bug injector: the minimized
+    schedule, the failure, and the search it took to find it."""
+    result = explore("twobit", scenario, mutate=bug)
+    counter = result.counterexample
+    assert (counter.status, counter.schedule, counter.detail) == (
+        status,
+        schedule,
+        detail,
+    )
+    assert (result.schedules_run, result.states_seen) == explored
 
 
 def test_counterexample_is_printed(capsys):
@@ -263,6 +357,119 @@ def test_deep_twobit_schedule_and_state_counts_are_pinned():
     counts = {r.scenario: (r.schedules_run, r.states_seen) for r in results}
     assert counts == DEEP_TWOBIT_COUNTS
     assert all(r.exhausted and r.ok for r in results)
+
+
+DEEP_FULLMAP_COUNTS = {
+    "smoke-2p1b": (26, 25),
+    "2p2b": (50, 49),
+    "3p1b": (919, 659),
+    "evict-1frame": (183, 141),
+    "mreq-cancel-late": (278, 196),
+}
+
+
+def test_deep_fullmap_schedule_and_state_counts_are_pinned():
+    results = check_protocol("fullmap", depth="deep")
+    counts = {r.scenario: (r.schedules_run, r.states_seen) for r in results}
+    assert counts == DEEP_FULLMAP_COUNTS
+    assert all(r.exhausted and r.ok for r in results)
+
+
+#: The two-bit protocol under the ``light`` fault plan (seed 1), on the
+#: deep scenarios but the three-processor one.
+FAULTED_TWOBIT_COUNTS = {
+    "smoke-2p1b": (40, 39),
+    "2p2b": (20, 19),
+    "evict-1frame": (60, 59),
+    "mreq-cancel-late": (102, 84),
+}
+
+
+def test_faulted_twobit_schedule_and_state_counts_are_pinned():
+    scenarios = [s for s in DEEP_SCENARIOS if s.name in FAULTED_TWOBIT_COUNTS]
+    results = check_protocol(
+        "twobit", scenarios=scenarios, faults=parse_faults("light,seed=1")
+    )
+    counts = {r.scenario: (r.schedules_run, r.states_seen) for r in results}
+    assert counts == FAULTED_TWOBIT_COUNTS
+    assert all(r.exhausted and r.ok for r in results)
+
+
+# ----------------------------------------------------------------------
+# What the fingerprint leaves out: exactly these (class, attribute)
+# pairs, each listed with its reason in schedules._SKIP_FIELDS.
+# ----------------------------------------------------------------------
+def _pairs(cls, *attrs):
+    return [(cls, attr) for attr in attrs]
+
+
+_DROPPED_SHARED = [
+    *_pairs("CacheArray", "_clock"),
+    *_pairs("CoherenceOracle", "reads_checked", "writes_committed"),
+    *_pairs(
+        "DirectoryCacheController",
+        "_deliver_table", "config", "counters", "home_fn", "sim",
+    ),
+    *_pairs("MemoryModule", "counters", "sim"),
+    *_pairs("Message", "uid"),
+    *_pairs(
+        "PointToPointNetwork", "_deliver_fns", "_endpoints", "counters", "sim"
+    ),
+    *_pairs(
+        "Processor",
+        "_acc", "_array", "_cpend", "_has_op_flag", "_hpend", "_kernel",
+        "_lookup_phase", "_lru_touch", "_oracle", "_pre_shared_escape",
+        "_r_clean", "_r_dirty", "_replayable", "_w_clean", "_w_dirty",
+        "counters", "exhausted", "fused_fast", "latency_histogram",
+        "on_drained", "sim", "stream",
+    ),
+    *_pairs(
+        "TransactionEngine", "_start_fn", "max_concurrency", "max_queue_depth"
+    ),
+]
+_DROPPED_TWOBIT = [
+    *_DROPPED_SHARED,
+    *_pairs("TranslationBuffer", "hits", "misses"),
+    *_pairs(
+        "TwoBitDirectory",
+        "_clock", "_since", "_time_in", "observer", "transitions",
+    ),
+    *_pairs(
+        "TwoBitDirectoryController", "_deliver_table", "config", "counters",
+        "sim",
+    ),
+]
+DROPPED_FIELDS = {
+    "twobit": sorted(_DROPPED_TWOBIT),
+    "fullmap": sorted(
+        _DROPPED_SHARED
+        + _pairs("FullMapDirectoryController", "config", "counters", "sim")
+    ),
+    "faulted": sorted(
+        _DROPPED_TWOBIT + _pairs("FaultInjector", "counters", "sim")
+    ),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(DROPPED_FIELDS))
+def test_fingerprint_drops_exactly_the_listed_fields(leg):
+    protocol = "fullmap" if leg == "fullmap" else "twobit"
+    faults = parse_faults("check") if leg == "faulted" else None
+    scenario = DEEP_SCENARIOS[1]
+    machine = build_scenario_machine(protocol, scenario, faults=faults)
+    fingerprinter = StateFingerprinter(machine)
+    for proc, script in zip(machine.processors, scenario.scripts):
+        proc.budget = len(script)
+        proc.resume()
+    while machine.sim.enabled():
+        fingerprinter.fingerprint()
+        machine.sim.step_select(0)
+    assert fingerprinter.dropped_fields() == DROPPED_FIELDS[leg]
+
+
+def test_model_check_result_records_elapsed_time():
+    (result,) = check_protocol("twobit", depth="smoke")
+    assert result.elapsed_s > 0
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,15 @@ def test_same_seed_same_hunt(small_hunt):
     assert again.coverage == small_hunt.coverage
 
 
+def test_hunt_coverage_is_pinned(small_hunt):
+    """The state fingerprint decides what counts as new coverage, so a
+    change to it that merged or split states would move these."""
+    assert small_hunt.coverage == 1715
+    assert [e.new_coverage for e in small_hunt.corpus] == [
+        256, 234, 224, 252, 206, 169, 198, 176,
+    ]
+
+
 def test_different_seed_different_hunt(small_hunt):
     other = hunt("twobit", budget=BUDGET, seed=SEED + 1, probes=2,
                  baseline=0.05)
