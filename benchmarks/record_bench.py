@@ -37,7 +37,7 @@ OUTPUT = ROOT / "BENCH_kernel.json"
 #: The benchmark selections whose timings are recorded.
 BENCH_TARGETS = [
     "benchmarks/bench_kernel_speed.py",
-    "benchmarks/bench_scalability.py::test_sparse_fanout_peak_n",
+    "benchmarks/bench_scalability.py::test_index_fanout_peak_n",
 ]
 
 #: Work done per benchmark round (asserted inside the bench modules).
@@ -46,8 +46,8 @@ WORK_UNITS = {
     "test_machine_reference_throughput": ("refs", 2_000),
     "test_machine_instrumented_throughput": ("refs", 2_000),
     "test_dispatch_hit_compiled": ("refs", 2_000),
-    # n=256 sparse fan-out run (peak-n regime of bench_scalability.py).
-    "test_sparse_fanout_peak_n": ("refs", 15_360),
+    # n=256 holder-index fan-out run (peak-n regime of bench_scalability.py).
+    "test_index_fanout_peak_n": ("refs", 15_360),
 }
 
 #: The gate's hardware calibrator: no probe sites on its path, so any

@@ -113,23 +113,6 @@ class ProtocolOptions:
             raise ConfigError("wb_capacity must be >= 1 (or None for unbounded)")
 
 
-def sparse_options(**overrides) -> "ProtocolOptions":
-    """:class:`ProtocolOptions` satisfying the sparse-fanout envelope.
-
-    Duplicate directory on, invalidation acks off, BIAS filter off —
-    the combination :class:`MachineConfig` requires when
-    ``sparse_fanout=True``.  Keyword overrides are applied on top (and
-    re-validated by ``MachineConfig`` if they break the envelope).
-    """
-    base = dict(
-        duplicate_directory=True,
-        invalidation_acks=False,
-        bias_filter_entries=0,
-    )
-    base.update(overrides)
-    return ProtocolOptions(**base)
-
-
 #: Protocols the builder knows how to assemble.
 PROTOCOLS = (
     "twobit",
@@ -163,15 +146,6 @@ class MachineConfig:
     delta_radix: int = 2
     timing: TimingConfig = field(default_factory=TimingConfig)
     options: ProtocolOptions = field(default_factory=ProtocolOptions)
-    #: Route BROADINV/BROADQUERY (and the classical invalidation line)
-    #: through the sparse copy-holder index: per-cache events are
-    #: enqueued only for caches that may hold a copy, while the paper's
-    #: broadcast cost model is still charged in full (see
-    #: docs/performance.md#scaling-to-large-n).  Requires the
-    #: equivalence envelope checked in ``__post_init__``; the dense path
-    #: stays the default and the two are asserted event-equivalent by
-    #: the twin-fingerprint test tier.
-    sparse_fanout: bool = False
     seed: int = 1984
     #: Abort the run if the oracle sees a stale read (leave on).
     strict_coherence: bool = True
@@ -203,45 +177,6 @@ class MachineConfig:
         if self.protocol in ("write_once", "illinois") and self.network != "bus":
             raise ConfigError(
                 f"{self.protocol} is a snooping protocol and requires network='bus'"
-            )
-        if self.sparse_fanout:
-            self._validate_sparse_envelope()
-
-    def _validate_sparse_envelope(self) -> None:
-        """The option combination under which sparse == dense, exactly.
-
-        * ``network != "bus"``: a bus broadcast is one hardware
-          transaction observed by everyone — there is no per-recipient
-          fan-out to thin out, and the snooping schemes depend on every
-          cache observing it.
-        * ``duplicate_directory``: without §4.4's duplicate directory a
-          useless snoop steals an array cycle at the snooped cache;
-          skipping the delivery would then change that cache's timing.
-          With it, an absent-block snoop is filtered for free — exactly
-          the work the sparse path elides.
-        * ``not invalidation_acks``: with acks on, round completion runs
-          inside the last recipient's INV_ACK handler; a thinner
-          recipient set would move that completion in time.
-        * ``bias_filter_entries == 0``: skipped caches would miss BIAS
-          insertions and diverge on later filtered snoops.
-        """
-        if self.network == "bus":
-            raise ConfigError("sparse_fanout is meaningless on a snooping bus")
-        opts = self.options
-        if not opts.duplicate_directory:
-            raise ConfigError(
-                "sparse_fanout requires options.duplicate_directory=True "
-                "(skipped caches must not owe a stolen array cycle)"
-            )
-        if opts.invalidation_acks:
-            raise ConfigError(
-                "sparse_fanout requires options.invalidation_acks=False "
-                "(ack-driven round completion is not position-independent)"
-            )
-        if opts.bias_filter_entries:
-            raise ConfigError(
-                "sparse_fanout requires options.bias_filter_entries=0 "
-                "(skipped caches would miss BIAS insertions)"
             )
 
     @property

@@ -10,7 +10,7 @@ analytical model.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 def _zero_clock() -> int:
@@ -65,8 +65,11 @@ class TwoBitDirectory:
             block: GlobalState.ABSENT for block in blocks
         }
         self._since: Dict[int, int] = {block: 0 for block in self._states}
-        self._time_in: Dict[int, Dict[GlobalState, int]] = {
-            block: {state: 0 for state in GlobalState} for block in self._states
+        #: block -> cycles spent in each state, indexed by state value (a
+        #: list, not a per-block dict: machines home thousands of blocks,
+        #: and checkpoints pickle every one).
+        self._time_in: Dict[int, List[int]] = {
+            block: [0, 0, 0, 0] for block in self._states
         }
         self.transitions = 0
 
@@ -75,6 +78,10 @@ class TwoBitDirectory:
 
     def __len__(self) -> int:
         return len(self._states)
+
+    def items(self) -> Iterator[Tuple[int, GlobalState]]:
+        """(block, current state) for every homed block."""
+        return iter(self._states.items())
 
     def state(self, block: int) -> GlobalState:
         """Current global state of ``block``."""
@@ -90,7 +97,7 @@ class TwoBitDirectory:
             state = GlobalState.PRESENT_STAR
         now = self._clock()
         old = self.state(block)
-        self._time_in[block][old] += now - self._since[block]
+        self._time_in[block][old.value] += now - self._since[block]
         self._since[block] = now
         if state is not old:
             self.transitions += 1
@@ -106,7 +113,7 @@ class TwoBitDirectory:
         """Flush time-in-state accumulation up to the current cycle."""
         now = self._clock()
         for block, state in self._states.items():
-            self._time_in[block][state] += now - self._since[block]
+            self._time_in[block][state.value] += now - self._since[block]
             self._since[block] = now
 
     def reset_window(self) -> None:
@@ -114,8 +121,7 @@ class TwoBitDirectory:
         now = self._clock()
         for block in self._states:
             self._since[block] = now
-            for state in GlobalState:
-                self._time_in[block][state] = 0
+            self._time_in[block] = [0, 0, 0, 0]
 
     def occupancy(self, blocks: Optional[Iterable[int]] = None) -> Dict[GlobalState, float]:
         """Fraction of time spent in each state, averaged over ``blocks``
@@ -125,8 +131,9 @@ class TwoBitDirectory:
         chosen = [b for b in chosen if b in self._states]
         totals = {state: 0 for state in GlobalState}
         for block in chosen:
-            for state, cycles in self._time_in[block].items():
-                totals[state] += cycles
+            time_in = self._time_in[block]
+            for state in GlobalState:
+                totals[state] += time_in[state.value]
         grand = sum(totals.values())
         if grand == 0:
             return {state: 0.0 for state in GlobalState}

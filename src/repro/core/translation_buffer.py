@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Optional, Set
+from typing import Iterator, Optional, Set
 
 
 class TranslationBuffer:
@@ -119,6 +119,10 @@ class TranslationBuffer:
     def invalidate(self, block: int) -> None:
         """Forget a block (membership no longer derivable)."""
         self._entries.pop(block, None)
+
+    def blocks(self) -> Iterator[int]:
+        """Blocks with an entry."""
+        return iter(self._entries)
 
     def peek(self, block: int) -> Optional[Set[int]]:
         """Entry contents without LRU/statistics side effects."""

@@ -125,12 +125,9 @@ def attach_faults(machine, spec: Optional[FaultSpec]) -> Optional[FaultInjector]
         machine.faults = None
         machine.network.faults = None
         return None
-    if machine.config.sparse_fanout:
-        raise ValueError(
-            "fault plans are outside the sparse_fanout equivalence "
-            "envelope (skipped deliveries would desynchronize the fault "
-            "RNG); build the machine with sparse_fanout=False"
-        )
+    # Every delivery draws its own faults, so every broadcast copy must
+    # be a delivery of its own.
+    machine.use_per_copy_fanout()
     injector = FaultInjector(spec, machine.sim)
     machine.faults = injector
     machine.network.faults = injector

@@ -50,11 +50,8 @@ class Bus(Network):
         self._busy_until = max(self._busy_until, time)
 
     def broadcast(self, message, exclude=None, targets=None) -> int:
-        if targets is not None:
-            # One bus transaction is observed by every member at once;
-            # there is no per-recipient fan-out to thin out (also
-            # enforced by MachineConfig's sparse envelope).
-            raise ValueError("sparse fan-out is meaningless on a snooping bus")
+        # One bus transaction is observed by every member at once; there
+        # is no per-recipient fan-out for a holder index to thin out.
         return super().broadcast(message, exclude)
 
     def _delivery_time(self, message: Message) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
@@ -57,6 +57,10 @@ class FullMapDirectory:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def items(self) -> Iterator[Tuple[int, FullMapEntry]]:
+        """(block, entry) for every homed block."""
+        return iter(self._entries.items())
 
     def entry(self, block: int) -> FullMapEntry:
         try:
@@ -480,14 +484,6 @@ class FullMapDirectoryController(AbstractMemoryController):
             meta=meta,
         )
         self.counters.add("data_grants")
-
-    def copy_holders(self, block: int):
-        """Exact pids holding a valid copy of ``block`` (the full map).
-
-        Mirrors ``TwoBitDirectoryController.copy_holders`` so tests can
-        compare the sparse superset index against the precise map.
-        """
-        return frozenset(self.directory.entry(block).owners)
 
     @staticmethod
     def _cache_name(pid: int) -> str:

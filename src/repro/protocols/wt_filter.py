@@ -92,7 +92,7 @@ class WTFilterCacheController(ClassicalCacheController):
     def _holder_pinned(self, block: int) -> bool:
         # An in-flight eviction notice pins holder-index membership: the
         # controller collects revocations from the caches it signals, so
-        # a sparse round must still reach this cache until the notice is
+        # an index round must still reach this cache until the notice is
         # acknowledged.
         return block in self._inflight_ejects or super()._holder_pinned(block)
 
@@ -204,20 +204,15 @@ class WTFilterMemoryController(ClassicalMemoryController):
         )
 
     def _signal_invalidations(self, block, writer_pid):
-        targets = super()._signal_invalidations(block, writer_pid)
+        called = super()._signal_invalidations(block, writer_pid)
         # Inside the (synchronous) invalidation round, collect
         # revocations for eviction notices made stale by it.  Walking
-        # the signalled pids is exhaustive on both paths: an in-flight
-        # notice pins its sender in the holder index (_holder_pinned),
-        # so a sparse round (targets is a pid list) cannot skip a cache
-        # with one; a dense round (targets is None) scans every cache.
-        signalled = (
-            (c for c in self.caches if c.pid != writer_pid)
-            if targets is None
-            else (self.caches[pid] for pid in targets)
-        )
-        for cache in signalled:
+        # the called pids is exhaustive: an in-flight notice pins its
+        # sender in the holder index (_holder_pinned), so a round that
+        # calls only index members cannot skip a cache with one.
+        for pid in called:
+            cache = self.caches[pid]
             uid = cache.stale_eject_uid(block)
             if uid is not None:
                 self._revoked[(cache.name, block)] = uid
-        return targets
+        return called

@@ -96,7 +96,7 @@ def build_machine(config: MachineConfig, workload: Workload) -> Machine:
     for component in [*caches, *controllers, *processors, *managers, net, *modules]:
         registry_counters.register(component.counters)
 
-    return Machine(
+    machine = Machine(
         config=config,
         sim=sim,
         oracle=oracle,
@@ -110,6 +110,9 @@ def build_machine(config: MachineConfig, workload: Workload) -> Machine:
         managers=managers,
         registry=registry_counters,
     )
+    if config.tie_seed is not None:
+        machine.use_per_copy_fanout()  # one tie draw per copy's event
+    return machine
 
 
 def _attach_all(net: Network, caches, controllers) -> None:

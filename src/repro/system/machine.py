@@ -109,6 +109,17 @@ class Machine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def use_per_copy_fanout(self) -> None:
+        """Deliver every broadcast copy and invalidation-line signal as
+        its own call, not only those to copy holders.
+
+        Same counters, cycles and values; more events.  For machines
+        where each delivery is a choice of its own: fault plans (one
+        fault draw per delivery), ``tie_seed`` (one tie draw per event)
+        and model-checked scenarios (same-cycle events are reordered).
+        """
+        self.network.per_copy = True
+
     def run(
         self,
         refs_per_proc: int,
@@ -230,48 +241,7 @@ class Machine:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def reconcile_sparse_counters(self) -> None:
-        """Fold lazy sparse-fan-out bookkeeping into the dense counters.
-
-        Two lazy schemes exist (both idempotent, both no-ops on dense
-        machines): the network's phantom broadcast deliveries
-        (:meth:`Network.reconcile_sparse_accounting`) and the classical
-        invalidation line's per-round ``sparse_line_*`` records.  After
-        this call every per-cache counter matches what the dense fan-out
-        would have produced, so :meth:`results`, fingerprints, and the
-        conformance tests may compare sparse and dense machines
-        directly.
-        """
-        reconcile = getattr(self.network, "reconcile_sparse_accounting", None)
-        if reconcile is not None:
-            reconcile()
-        rounds = sum(
-            ctrl.counters.get("sparse_line_rounds") for ctrl in self.controllers
-        )
-        if not rounds:
-            return
-        for cache in self.caches:
-            cc = cache.counters
-            skipped = (
-                rounds
-                - cc.get("sparse_line_addressed")
-                - cc.get("sparse_line_excluded")
-            )
-            delta = skipped - cc.get("sparse_line_folded")
-            if delta > 0:
-                # A dense useless signal under the sparse envelope
-                # (duplicate directory on, BIAS off) costs exactly these
-                # three counters — see ClassicalCacheController.
-                for name in (
-                    "snoop_commands",
-                    "snoop_useless",
-                    "snoops_filtered_by_dup_directory",
-                ):
-                    cc.add(name, delta)
-                cc.add("sparse_line_folded", delta)
-
     def results(self) -> SimulationResults:
-        self.reconcile_sparse_counters()
         caches = self.caches
         n = len(caches)
         refs = sum(c.counters.get("refs") for c in caches)

@@ -99,7 +99,7 @@ def random_refs(
 
 def _build_lockstep_machine(
     protocol: str, n_processors: int, n_blocks: int,
-    cache_sets: int, cache_assoc: int, options=None, sparse: bool = False, n_modules: int = 1,
+    cache_sets: int, cache_assoc: int, options=None, n_modules: int = 1,
 ):
     # NOTE: imported here, not at module scope — the system builder
     # imports the component classes whose modules import this package
@@ -107,10 +107,6 @@ def _build_lockstep_machine(
     from repro.system.builder import build_machine
 
     spec = registry.resolve(protocol)
-    if options is None and sparse:
-        from repro.config import sparse_options
-
-        options = sparse_options()
     kwargs = {} if options is None else {"options": options}
     config = MachineConfig(
         n_processors=n_processors,
@@ -121,7 +117,6 @@ def _build_lockstep_machine(
         protocol=spec.name,
         network=spec.default_network(),
         strict_coherence=True,
-        sparse_fanout=sparse,
         **kwargs,
     )
     # Empty scripts: the harness drives the caches directly.
@@ -136,7 +131,6 @@ def run_lockstep(
     cache_assoc: int = 2,
     faults: Optional[FaultSpec] = None,
     options=None,
-    sparse: bool = False,
     n_modules: int = 1,
 ) -> ProtocolTrace:
     """Drive ``refs`` serially (full drain between ops) through ``protocol``.
@@ -155,7 +149,7 @@ def run_lockstep(
     n_blocks = max(r.block for r in refs) + 1 if refs else 1
     machine = _build_lockstep_machine(
         protocol, n_processors, n_blocks, cache_sets, cache_assoc,
-        options=options, sparse=sparse, n_modules=n_modules,
+        options=options, n_modules=n_modules,
     )
     if faults is not None:
         attach_faults(machine, faults)
@@ -196,7 +190,6 @@ def run_differential(
     cache_assoc: int = 2,
     faults: Optional[FaultSpec] = None,
     options=None,
-    sparse: bool = False,
     n_modules: int = 1,
 ) -> DifferentialReport:
     """Replay ``refs`` through every protocol and diff against ``reference``.
@@ -229,7 +222,6 @@ def run_differential(
             cache_assoc=cache_assoc,
             faults=faults,
             options=options,
-            sparse=sparse,
             n_modules=n_modules,
         )
         for name in (registry.canonical_name(n) for n in names)

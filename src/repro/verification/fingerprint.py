@@ -1,14 +1,14 @@
-"""Behavioural machine fingerprints for sparse-vs-dense twin checks.
+"""Behavioural machine fingerprints for fan-out twin checks.
 
 :func:`machine_fingerprint` hashes everything observable about a run's
 outcome — cache lines, write-back buffers, directory state, memory
 contents, simulated time, and (optionally) every counter — while
 excluding exactly the things two equivalent machines legitimately differ
-in: configuration objects and the ``sparse_*`` bookkeeping counters the
-lazy reconciliation scheme keeps.  Two machines built identically except
-for ``sparse_fanout`` and run over the same reference stream must
-produce equal fingerprints; the n-parametrized conformance tier asserts
-exactly that.
+in: configuration objects, the copy-holder index and the kernel's event
+count.  A machine whose broadcasts reach only copy holders and its twin
+switched to per-copy delivery (``Machine.use_per_copy_fanout``), run
+over the same reference stream, must produce equal fingerprints; the
+n-parametrized twin tier asserts exactly that.
 
 This is deliberately *not* :class:`~repro.verification.schedules.
 StateFingerprinter`, which freezes component config references and every
@@ -20,17 +20,8 @@ from __future__ import annotations
 import hashlib
 from typing import List, Tuple
 
-#: Counter-name prefix excluded from fingerprints: lazy sparse-fan-out
-#: bookkeeping that has no dense counterpart.
-SPARSE_COUNTER_PREFIX = "sparse_"
-
-
 def _counter_items(counters) -> List[Tuple[str, float]]:
-    return sorted(
-        (name, value)
-        for name, value in counters.snapshot().items()
-        if not name.startswith(SPARSE_COUNTER_PREFIX)
-    )
+    return sorted(counters.snapshot().items())
 
 
 def _cache_part(cache, include_counters: bool) -> tuple:
@@ -81,9 +72,9 @@ def _directory_part(directory, n_blocks: int) -> tuple:
 
 
 def _controller_part(ctrl, n_blocks: int, include_counters: bool) -> tuple:
-    # The copy-holder index is deliberately absent here: it is only
-    # maintained on the sparse path, so twins legitimately differ in it
-    # (its soundness is the audit's superset check, not a fingerprint).
+    # The copy-holder index is deliberately absent here: it is advisory
+    # bookkeeping, not behaviour (its soundness is the audit's superset
+    # check, not a fingerprint).
     directory = getattr(ctrl, "directory", None)
     module = getattr(ctrl, "module", None)
     tbuf = getattr(ctrl, "tbuf", None)
@@ -122,9 +113,6 @@ def machine_parts(machine, include_counters: bool = True) -> tuple:
     Exposed separately so a failing twin test can diff the structures
     instead of two opaque hashes.
     """
-    reconcile = getattr(machine, "reconcile_sparse_counters", None)
-    if reconcile is not None:
-        reconcile()
     n_blocks = machine.config.n_blocks
     parts = [("now", machine.sim.now)]
     for cache in machine.caches:
@@ -153,10 +141,8 @@ def machine_parts(machine, include_counters: bool = True) -> tuple:
 def machine_fingerprint(machine, include_counters: bool = True) -> str:
     """SHA-256 over the machine's canonical behavioural state.
 
-    Calls ``machine.reconcile_sparse_counters()`` first, so a sparse
-    machine's counters are in their dense-equivalent form.  Configuration
-    objects and ``sparse_*`` counters are excluded — see the module
-    docstring for why.
+    Configuration objects and the copy-holder index are excluded — see
+    the module docstring for why.
     """
     digest = hashlib.sha256()
     digest.update(repr(machine_parts(machine, include_counters)).encode())

@@ -201,6 +201,8 @@ def build_scenario_machine(
     )
     workload = ScriptedWorkload([list(s) for s in scenario.scripts])
     machine = build_machine(config, workload)
+    # The schedule reorders same-cycle events, each copy's among them.
+    machine.use_per_copy_fanout()
     if faults is not None:
         attach_faults(machine, faults)
     return machine

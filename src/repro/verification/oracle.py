@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 class CoherenceViolation(AssertionError):
@@ -141,6 +141,10 @@ class CoherenceOracle:
         """Most recent committed version of ``block`` (0 if never written)."""
         history = self._history.get(block)
         return history.versions[-1] if history and history.versions else 0
+
+    def written_blocks(self) -> Iterator[int]:
+        """Blocks with at least one committed write."""
+        return iter(self._history)
 
     def latest_committer_time(self, block: int) -> Optional[int]:
         history = self._history.get(block)

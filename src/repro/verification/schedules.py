@@ -92,6 +92,10 @@ _STATS = "statistics only; never read back by protocol logic"
 _CONFIG = "build-time configuration, equal on every machine of a search"
 _WIRING = "constant wiring fixed at build time"
 _DISPATCH = "message-kind dispatch table; constant wiring"
+_HOLDERS = (
+    "copy-holder index; scenario machines deliver every broadcast copy "
+    "(Machine.use_per_copy_fanout), so nothing reads it"
+)
 
 #: Fields that never feed back into protocol behaviour, per class, each
 #: with the reason it may be dropped.  An entry applies to the class it
@@ -107,12 +111,18 @@ _SKIP_FIELDS: Dict[str, Dict[str, str]] = {
         "home_fn": _WIRING,
         "_deliver_table": _DISPATCH,
     },
-    "ClassicalCacheController": {"home_fn": _WIRING},
+    "ClassicalCacheController": {"home_fn": _WIRING, "holders": _HOLDERS},
+    "ClassicalMemoryController": {"holders": _HOLDERS},
     "StaticCacheController": {"home_fn": _WIRING},
     "TwoBitDirectoryController": {
         "_deliver_table": _DISPATCH,
+        "holders": _HOLDERS,
     },
-    "Network": {"_deliver_fns": _WIRING, "_endpoints": _WIRING},
+    "Network": {
+        "_deliver_fns": _WIRING,
+        "_endpoints": _WIRING,
+        "_member_bits": _WIRING,
+    },
     "Processor": {
         "stream": "its position is captured by Processor.issued",
         "exhausted": "follows from the script length and Processor.issued",

@@ -50,10 +50,19 @@ class MemRef:
 
     @classmethod
     def parse(cls, line: str) -> "MemRef":
-        """Inverse of :meth:`__str__` (trace file line format)."""
+        """Inverse of :meth:`__str__` (trace file line format).
+
+        The canonical ``R``/``W`` spellings resolve through a dict; any
+        other spelling :meth:`Op.parse` accepts (``w``, ``write``) still
+        parses, just through the slower enum walk.
+        """
         parts = line.split()
-        if len(parts) not in (3, 4):
+        n = len(parts)
+        if n != 3 and n != 4:
             raise ValueError(f"malformed trace line: {line!r}")
-        pid, op, block = int(parts[0]), Op.parse(parts[1]), int(parts[2])
-        shared = len(parts) == 4 and parts[3] == "s"
-        return cls(pid=pid, op=op, block=block, shared=shared)
+        op = _TRACE_OPS.get(parts[1]) or Op.parse(parts[1])
+        return cls(int(parts[0]), op, int(parts[2]), n == 4 and parts[3] == "s")
+
+
+#: The spellings :meth:`MemRef.__str__` writes.
+_TRACE_OPS = {op.value: op for op in Op}

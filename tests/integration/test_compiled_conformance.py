@@ -325,6 +325,21 @@ def test_experiment_defaults_to_compiled_and_matches_interpreted():
     assert sum(p.fused_fast for p in outcome.machine.processors) > 0
 
 
+def test_experiment_per_copy_twin_matches_golden_but_event_count():
+    # Every broadcast copy as its own event: the same results, the
+    # event count of the per-copy path.
+    from repro.api import Experiment
+
+    exp = Experiment(refs_per_proc=300, warmup_refs=50)
+    machine, _ = exp.build()
+    machine.use_per_copy_fanout()
+    machine.run(refs_per_proc=exp.refs_per_proc, warmup_refs=exp.warmup_refs)
+    expected = dict(EXPERIMENT_GOLDEN["default"])
+    expected.pop("events")
+    assert machine.sim.events_processed == 4520
+    assert machine.results().to_dict() == expected
+
+
 def test_faulted_run_bit_identical_across_engines():
     from repro.api import Experiment
 

@@ -119,6 +119,11 @@ def test_dropped_eject_ack_fails_loudly_never_silently():
     from repro.verification.oracle import CoherenceViolation
 
     machine = build()
+    # A hand-dropped message is a fault, so the machine delivers every
+    # broadcast copy, as under a fault plan: a stranded write-back entry
+    # leaves the copy-holder index, and only a per-copy round still
+    # reaches the cache that holds it.
+    machine.use_per_copy_fanout()
     dropper = Dropper(machine, MessageKind.EJECT_ACK)
     try:
         machine.run(refs_per_proc=300)

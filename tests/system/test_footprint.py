@@ -1,8 +1,8 @@
 """Memory-footprint regression: building big machines stays cheap.
 
-The sparse fan-out path must not allocate dense per-cache-per-block
-structures at build time — the copy-holder index starts *empty* and only
-ever grows entries for blocks that are actually cached.  These tests pin
+A build must not allocate dense per-cache-per-block structures — the
+copy-holder index starts *empty* and only ever grows entries for blocks
+that are actually cached.  These tests pin
 that with a hard budget at n=1024 and a scaling check (per-cache cost
 must not grow with n).
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import MachineConfig, sparse_options
+from repro.config import MachineConfig
 from repro.system.builder import build_machine
 from repro.system.footprint import measure_build_footprint
 from repro.workloads.synthetic import ScriptedWorkload
@@ -23,7 +23,7 @@ from repro.workloads.synthetic import ScriptedWorkload
 N1024_PEAK_BUDGET = 16 * 1024 * 1024
 
 
-def _config(n, sparse=True, n_blocks=64):
+def _config(n, n_blocks=64):
     return MachineConfig(
         n_processors=n,
         n_modules=4,
@@ -32,8 +32,6 @@ def _config(n, sparse=True, n_blocks=64):
         cache_assoc=2,
         protocol="twobit",
         network="xbar",
-        options=sparse_options(),
-        sparse_fanout=sparse,
     )
 
 

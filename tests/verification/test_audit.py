@@ -100,3 +100,70 @@ def test_oracle_violations_surface_in_audit():
     machine.oracle.violations.append("P0 read block 1 -> v0 (synthetic)")
     report = audit_machine(machine)
     assert any("oracle" in v for v in report.violations)
+
+
+# ----------------------------------------------------------------------
+# The audit visits only live blocks; corruption on a block no cache holds
+# must still make that block live and be reported.
+# ----------------------------------------------------------------------
+def test_detects_directory_state_of_an_untouched_block():
+    machine = scripted_machine([[], []])
+    read(machine, 0, 3)
+    machine.controllers[0].directory.set_state(6, GlobalState.PRESENT1)
+    report = audit_machine(machine)
+    assert report.violations == [
+        "block 6: state Present1 but copies=0 dirty=0"
+    ]
+
+
+def test_detects_memory_version_of_an_evicted_block():
+    machine = scripted_machine([[], []])
+    latest = write(machine, 0, 0).version
+    # Blocks 2 and 4 share block 0's set: the dirty copy is written back
+    # and evicted, leaving no copy and an Absent directory entry.
+    read(machine, 0, 2)
+    read(machine, 0, 4)
+    assert machine.caches[0].holds(0) is None
+    assert machine.controllers[0].directory.state(0) is GlobalState.ABSENT
+    assert audit_machine(machine).ok
+    machine.modules[0].write(0, latest + 100)
+    report = audit_machine(machine)
+    assert report.violations == [
+        f"block 0: no dirty copy but memory has v{latest + 100}, "
+        f"latest committed is v{latest}"
+    ]
+
+
+def test_detects_tbuf_entry_of_an_untouched_block():
+    from repro.config import ProtocolOptions
+
+    machine = scripted_machine(
+        [[], []], options=ProtocolOptions(translation_buffer_entries=8)
+    )
+    read(machine, 0, 3)
+    machine.controllers[0].tbuf.establish(6, {1})
+    report = audit_machine(machine)
+    assert report.violations == [
+        "block 6: translation buffer says [1], actual holders []"
+    ]
+
+
+def test_detects_fullmap_owner_of_an_untouched_block():
+    machine = scripted_machine([[], []], protocol="fullmap")
+    read(machine, 0, 3)
+    machine.controllers[0].directory.entry(6).owners = {1}
+    report = audit_machine(machine)
+    assert report.violations == [
+        "block 6: directory owners [1] != actual holders []"
+    ]
+
+
+def test_detects_holder_index_missing_a_copy():
+    machine = scripted_machine([[], []])
+    read(machine, 0, 3)
+    read(machine, 1, 3)
+    machine.controllers[0].holders.discard(3, 1)
+    report = audit_machine(machine)
+    assert report.violations == [
+        "block 3: holder index [0] misses cached copies at pids [1]"
+    ]

@@ -413,7 +413,8 @@ _DROPPED_SHARED = [
     *_pairs("MemoryModule", "counters", "sim"),
     *_pairs("Message", "uid"),
     *_pairs(
-        "PointToPointNetwork", "_deliver_fns", "_endpoints", "counters", "sim"
+        "PointToPointNetwork",
+        "_deliver_fns", "_endpoints", "_member_bits", "counters", "sim",
     ),
     *_pairs(
         "Processor",
@@ -436,7 +437,7 @@ _DROPPED_TWOBIT = [
     ),
     *_pairs(
         "TwoBitDirectoryController", "_deliver_table", "config", "counters",
-        "sim",
+        "holders", "sim",
     ),
 ]
 DROPPED_FIELDS = {

@@ -32,11 +32,28 @@ def test_memref_parse_three_fields_defaults_private():
     assert ref == MemRef(pid=1, op=Op.READ, block=5, shared=False)
 
 
+@pytest.mark.parametrize(
+    "spelling,op",
+    [("R", Op.READ), ("W", Op.WRITE), ("r", Op.READ), ("w", Op.WRITE),
+     ("read", Op.READ), ("WRITE", Op.WRITE), ("Write", Op.WRITE)],
+)
+def test_memref_parse_accepts_every_op_spelling(spelling, op):
+    # The canonical letters take a dict fast path; every other spelling
+    # Op.parse accepts must still parse to the same MemRef.
+    ref = MemRef.parse(f"2 {spelling} 9 s")
+    assert ref == MemRef(pid=2, op=op, block=9, shared=True)
+    assert ref.is_write is (op is Op.WRITE)
+
+
 def test_memref_parse_malformed():
     with pytest.raises(ValueError):
         MemRef.parse("1 R")
     with pytest.raises(ValueError):
         MemRef.parse("1 R 5 s extra")
+    with pytest.raises(ValueError):
+        MemRef.parse("1 X 5")
+    with pytest.raises(ValueError):
+        MemRef.parse("one R 5")
 
 
 def test_is_write():

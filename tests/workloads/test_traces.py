@@ -79,6 +79,27 @@ def test_format_error_carries_location(tmp_path):
     assert exc.value.path == str(path)
 
 
+@pytest.mark.parametrize(
+    "bad", ["0 X 1 s", "0 R", "zero R 1", "0 R one", "0 R 1 s extra"]
+)
+def test_malformed_line_reports_its_line_number(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{TRACE_HEADER}\n0 r 1 s\n1 write 2 p\n{bad}\n")
+    with pytest.raises(TraceFormatError) as exc:
+        read_trace(path)
+    assert exc.value.lineno == 4
+
+
+def test_lowercase_and_spelled_out_ops_replay(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text(f"{TRACE_HEADER}\n0 r 1 s\n1 write 2 p\n0 READ 1 s\n")
+    assert read_trace(path) == [
+        MemRef(0, Op.READ, 1, shared=True),
+        MemRef(1, Op.WRITE, 2, shared=False),
+        MemRef(0, Op.READ, 1, shared=True),
+    ]
+
+
 def test_write_is_atomic_no_temp_left(tmp_path):
     path = tmp_path / "trace.txt"
     write_trace(path, sample_refs())
