@@ -71,6 +71,22 @@ def write(machine: Machine, pid: int, block: int) -> AccessResult:
     return drive(machine, pid, Op.WRITE, block)
 
 
+def count_line_calls(machine: Machine) -> List[int]:
+    """Wrap every cache's ``apply_invalidation`` (the write-through
+    schemes' invalidation line); return a one-element list that counts
+    the calls."""
+    calls = [0]
+    for cache in machine.caches:
+        if not hasattr(cache, "apply_invalidation"):
+            continue
+
+        def counted(block, writer, _apply=cache.apply_invalidation):
+            calls[0] += 1
+            _apply(block, writer)
+        cache.apply_invalidation = counted
+    return calls
+
+
 def assert_clean_audit(machine: Machine) -> None:
     audit_machine(machine).raise_if_failed()
 

@@ -1,6 +1,8 @@
 """Counter sets and the registry."""
 
-from repro.stats.counters import CounterRegistry, CounterSet
+import pickle
+
+from repro.stats.counters import CounterRegistry, CounterSet, RoundTally
 
 
 def test_counters_start_at_zero():
@@ -56,6 +58,44 @@ def test_merge_adds_counterwise():
     b.add("w", 3)
     a.merge(b)
     assert a["v"] == 3.0 and a["w"] == 3.0
+
+
+def test_round_tally_charges_every_member_but_the_exempt():
+    sets = [CounterSet(f"c{i}") for i in range(4)]
+    tally = RoundTally(("snoop_commands", "snoop_useless"), sets)
+    sets[1].add("snoop_commands")
+    tally.charge([sets[0], sets[1]])
+    tally.charge([sets[0]])
+    assert "snoop_commands" not in sets[0]
+    assert sets[1].snapshot() == {"snoop_commands": 2.0, "snoop_useless": 1.0}
+    assert sets[2].get("snoop_useless") == 2.0
+    assert list(sets[3].items()) == [
+        ("snoop_commands", 2.0), ("snoop_useless", 2.0),
+    ]
+    total = CounterRegistry()
+    for counters in sets:
+        total.register(counters)
+    assert total.total("snoop_useless") == 5.0
+
+
+def test_round_tally_rounds_before_a_reset_are_dropped():
+    sets = [CounterSet("a"), CounterSet("b")]
+    tally = RoundTally(("snoop_useless",), sets)
+    tally.charge([sets[0]])
+    sets[1].reset()
+    tally.charge([])
+    assert sets[0].get("snoop_useless") == 1.0
+    assert sets[1].get("snoop_useless") == 1.0
+
+
+def test_round_tally_survives_a_pickle_round_trip():
+    sets = [CounterSet("a"), CounterSet("b")]
+    tally = RoundTally(("snoop_useless",), sets)
+    tally.charge([sets[0]])
+    a, b = pickle.loads(pickle.dumps(sets))
+    assert a.tally is b.tally
+    a.tally.charge([b])
+    assert (a.get("snoop_useless"), b.get("snoop_useless")) == (1.0, 1.0)
 
 
 def test_registry_total_and_by_owner():
