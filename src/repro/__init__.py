@@ -12,10 +12,10 @@ Quick start — the stable facade (see ``docs/api.md``)::
     outcome = Experiment(protocol="twobit", n_processors=4, q=0.05).run()
     print(outcome.results.summary())
 
-    # a cached, crash-tolerant parameter grid:
+    # a cached parameter grid on four crash-tolerant worker processes:
     report = Experiment().sweep(
         {"protocol": ["twobit", "fullmap"], "q": [0.01, 0.05]},
-        workers=4, elastic=True,
+        workers=4,
     )
 
 Lower-level building blocks (``MachineConfig``, workloads, the machine

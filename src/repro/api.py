@@ -9,8 +9,8 @@ and exposes:
 * :meth:`Experiment.run` — simulate one machine (optionally
   checkpointing), audit it, return a :class:`RunOutcome`;
 * :meth:`Experiment.sweep` — fan a grid of variants out over worker
-  processes, cached and optionally *elastic* (crash-tolerant,
-  checkpoint-resumable — see :mod:`repro.runner.elastic`);
+  processes, cached, crash-tolerant and checkpoint-resumable (see
+  :mod:`repro.runner.scheduler`);
 * :meth:`Experiment.check` — model-check + differential-test the
   experiment's protocol;
 * :meth:`Experiment.trace` — run instrumented and export a Perfetto
@@ -18,7 +18,7 @@ and exposes:
 
 :func:`resume` restores a checkpointed run from disk and finishes it;
 :func:`run_point` is the module-level sweep point function (picklable
-by reference, cache-keyed on its kwargs) that both sweep flavours and
+by reference, cache-keyed on its kwargs) that every sweep transport and
 the CLI share.
 
 Everything here is covered by the committed API surface snapshot
@@ -339,18 +339,21 @@ class Experiment:
         plus the point's overrides and a per-point derived seed, so
         results are independent of worker count and execution order.
 
-        ``elastic=True`` uses the work-stealing crash-tolerant pool
-        (:func:`~repro.runner.elastic.run_sweep_elastic`); with
-        ``checkpoint_every`` set, a shard interrupted by worker death
-        resumes from its last checkpoint instead of recomputing.
-        Elastic and plain sweeps share the same result cache entries.
+        ``workers`` above one runs the points on a supervised pool of
+        worker processes (:mod:`repro.runner.elastic`): dead or stalled
+        workers are replaced and their shards retried, and with
+        ``checkpoint_every`` set a retried shard resumes from its last
+        checkpoint instead of recomputing.  Every scheduler shares the
+        same result cache entries.  ``elastic`` selects nothing any
+        more; it is accepted for old callers, and ``elastic=True`` with
+        ``workers`` unset still means two workers.
 
         ``service="http://host:port"`` submits the grid to a running
         sweep-service coordinator (``repro serve``) and its registered
         ``repro work`` fleet instead of local processes
         (:func:`~repro.runner.service.run_sweep_service`).  The retry/
-        stall budgets keep their elastic semantics, enforced by the
-        coordinator's reaper; the result cache and checkpoint
+        stall budgets mean the same there: the coordinator runs the
+        same scheduler core.  The result cache and checkpoint
         directories live coordinator-side, and cache entries are keyed
         exactly as local runs key them, so a distributed sweep warms
         the same cache a later local sweep hits.  ``service`` and
@@ -367,7 +370,6 @@ class Experiment:
         schema-stamped JSONL lifecycle events described in
         :mod:`repro.obs.progress`.
         """
-        from repro.runner.elastic import run_sweep_elastic
         from repro.runner.sweep import run_sweep
 
         points = self.sweep_points(axes, instrument=instrument)
@@ -377,7 +379,7 @@ class Experiment:
                 raise ValueError(
                     "sweep(service=...) and sweep(elastic=True) are "
                     "mutually exclusive: the coordinator's fleet already "
-                    "is the elastic pool"
+                    "is a worker pool"
                 )
             from repro.runner.service import run_sweep_service
 
@@ -392,28 +394,18 @@ class Experiment:
                 progress_out=progress_out,
                 verbose=verbose,
             )
-        if elastic:
-            return run_sweep_elastic(
-                points,
-                workers=workers if workers is not None else 2,
-                cache_dir=cache_dir,
-                use_cache=use_cache,
-                label=name,
-                verbose=verbose,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-                max_retries=max_retries,
-                stall_timeout=stall_timeout,
-                progress_out=progress_out,
-            )
         return run_sweep(
             points,
-            workers=workers,
+            workers=2 if elastic and workers is None else workers,
             cache_dir=cache_dir,
             use_cache=use_cache,
             label=name,
             verbose=verbose,
             progress_out=progress_out,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            max_retries=max_retries,
+            stall_timeout=stall_timeout,
         )
 
     def sweep_points(
@@ -537,9 +529,9 @@ def run_point(
 
     Module-level (picklable by reference) and cache-keyed on ``kwargs``
     only — the checkpoint arguments are injected per-execution by the
-    elastic runner and never reach the cache key.  When
+    sweep scheduler and never reach the cache key.  When
     ``checkpoint_path`` already exists the simulation *resumes* from it
-    instead of restarting: that is how a retried elastic shard avoids
+    instead of restarting: that is how a retried shard avoids
     recomputing cycles it already simulated.
 
     With ``instrument=True`` (part of the cache key when set by

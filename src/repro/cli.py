@@ -4,7 +4,7 @@ Commands:
 
 * ``run``      — simulate one machine and print results + audit verdict.
 * ``trace``    — simulate with full telemetry and export a Perfetto trace.
-* ``sweep``    — run a parameter grid (cached, optionally elastic).
+* ``sweep``    — run a parameter grid (cached; crash-tolerant with workers).
 * ``report``   — comparative rollup over the cached sweep store.
 * ``tables``   — print the paper's Table 4-1 / Table 4-2 / thresholds.
 * ``topology`` — render the Figure 3-1 system for a configuration.
@@ -17,7 +17,8 @@ name, default, and type (a short alias table preserves the historical
 spellings like ``-n``/``--refs``), so the CLI and the programmatic API
 cannot drift apart.  ``run`` supports ``--checkpoint-every`` /
 ``--checkpoint-path`` / ``--resume`` (see ``docs/api.md``); ``sweep
---elastic`` runs the crash-tolerant work-stealing pool.
+--workers N`` runs the grid on a crash-tolerant pool of N worker
+processes.
 
 ``run`` and ``compare`` accept ``--metrics-out metrics.jsonl`` to dump
 per-outcome latency histograms, span-phase breakdowns, and time-series
@@ -883,7 +884,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="run a parameter grid with caching (optionally elastic)",
+        help="run a parameter grid with caching (crash-tolerant with "
+        "--workers)",
     )
     p_sweep.add_argument("--protocol", choices=PROTOCOL_CHOICES,
                          default="twobit")
@@ -895,12 +897,14 @@ def make_parser() -> argparse.ArgumentParser:
         "(e.g. --axis protocol=twobit,fullmap --axis q=0.01,0.05)",
     )
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: inline)")
+                         help="worker processes (default: inline); more "
+                         "than one runs a crash-tolerant work-stealing "
+                         "pool: dead or stalled workers are replaced and "
+                         "their shards retried (resuming from shard "
+                         "checkpoints when --checkpoint-every is set)")
     p_sweep.add_argument("--elastic", action="store_true",
-                         help="crash-tolerant work-stealing pool: dead or "
-                         "stalled workers are replaced and their shards "
-                         "retried (resuming from shard checkpoints when "
-                         "--checkpoint-every is set)")
+                         help="accepted for old scripts; selects nothing "
+                         "except 2 workers when --workers is unset")
     p_sweep.add_argument("--service", default=None, metavar="URL",
                          help="submit the grid to a running sweep-service "
                          "coordinator (`repro serve`) and its `repro "
@@ -909,8 +913,8 @@ def make_parser() -> argparse.ArgumentParser:
                          "(docs/service.md)")
     p_sweep.add_argument("--checkpoint-every", type=int, default=0,
                          metavar="CYCLES",
-                         help="per-shard checkpoint cadence for elastic "
-                         "retries (0 = shards restart from scratch)")
+                         help="per-shard checkpoint cadence for retries "
+                         "(0 = shards restart from scratch)")
     p_sweep.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                          help="where shard checkpoints live (default: a "
                          "temporary directory)")
@@ -924,7 +928,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stall-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="kill workers holding one shard longer than "
-                         "this (elastic only)")
+                         "this (worker pools and --service only)")
     p_sweep.add_argument("--label", default=None,
                          help="sweep name for the summary/cache metadata")
     p_sweep.add_argument("--metrics", action="store_true",

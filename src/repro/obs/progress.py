@@ -4,11 +4,11 @@ A :class:`ProgressStream` turns a sweep run into a live, append-only
 JSONL event stream: a run manifest, one lifecycle trail per point
 (``point-queued`` → ``point-running`` → ``point-retried`` /
 ``point-checkpointed`` → ``point-done`` / ``point-failed``), worker
-lifecycle and heartbeat events on elastic runs, and a terminal
-``sweep-end``.  Both sweep schedulers
-(:func:`~repro.runner.sweep.run_sweep` and
-:func:`~repro.runner.elastic.run_sweep_elastic`) accept a
-``progress_out=`` destination and emit **supervisor-side**: a worker
+lifecycle and heartbeat events when a worker pool runs the sweep, and a
+terminal ``sweep-end``.  One scheduler core
+(:mod:`repro.runner.scheduler`) emits the stream for every transport;
+:func:`~repro.runner.sweep.run_sweep` takes a ``progress_out=``
+destination, and events are written **supervisor-side**: a worker
 that is SIGKILLed mid-task cannot flush anything, so every event —
 including the dead worker's terminal ``worker-died`` /
 ``point-retried`` / ``point-failed`` records — is written by the

@@ -2,9 +2,15 @@
 
 The benchmark suite's tables are sweeps over (protocol, n, sharing)
 grids of independent simulations.  :func:`run_sweep` executes such a
-grid across worker processes with per-point deterministic seeds, and
-memoizes each point's result on disk keyed by (function, kwargs, code
-version) — see :mod:`repro.runner.cache` for the invalidation rules.
+grid inline or across supervised worker processes with per-point
+deterministic seeds, and memoizes each point's result on disk keyed by
+(function, kwargs, code version) — see :mod:`repro.runner.cache` for
+the invalidation rules.  One scheduler core
+(:mod:`repro.runner.scheduler`) decides every sweep, whichever
+transport runs it: inline, per-worker pipes (:mod:`repro.runner.elastic`)
+or the HTTP service (:mod:`repro.runner.service`).
+:func:`run_sweep_elastic` is kept as an alias of ``run_sweep`` that
+always uses the worker pool.
 """
 
 from repro.runner.cache import (

@@ -1,12 +1,13 @@
 """Distributed sweep service: coordinator, worker agent, client.
 
-This package grows :mod:`repro.runner.elastic` from one host's worker
-pool into a multi-host job service (ROADMAP item 1):
+This package grows the local worker pool (:mod:`repro.runner.elastic`)
+into a multi-host job service; both drive the same scheduler core
+(:mod:`repro.runner.scheduler`):
 
 * :class:`~repro.runner.service.coordinator.Coordinator` — an asyncio
   HTTP coordinator (``repro serve``) that shards submitted sweep grids
-  to remote workers, reaps dead/stalled workers on the elastic
-  scheduler's retry/stall budgets, persists results into the same
+  to remote workers, reaps dead/stalled workers on the core's
+  retry/stall budgets, persists results into the same
   content-addressed :class:`~repro.runner.cache.ResultCache` local
   sweeps use (so local and distributed runs share entries), and merges
   every worker's progress events into one coordinator-side JSONL
@@ -14,7 +15,7 @@ pool into a multi-host job service (ROADMAP item 1):
 * :func:`~repro.runner.service.worker.run_worker` — the worker agent
   (``repro work``) that leases shards, executes them through the
   existing point machinery, heartbeats from a background thread, and
-  posts results (plus relayed progress events) back;
+  posts results back;
 * :func:`~repro.runner.service.client.run_sweep_service` — the client
   verb behind ``Experiment.sweep(service=...)``: submit a grid, wait,
   and get back a :class:`~repro.runner.sweep.SweepReport`

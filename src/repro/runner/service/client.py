@@ -1,8 +1,7 @@
 """Client verbs for the sweep service: submit, wait, fetch, run.
 
 :func:`run_sweep_service` is the drop-in sibling of
-:func:`~repro.runner.sweep.run_sweep` and
-:func:`~repro.runner.elastic.run_sweep_elastic`: same points in, same
+:func:`~repro.runner.sweep.run_sweep`: same points in, same
 :class:`~repro.runner.sweep.SweepReport` out, same
 :class:`~repro.runner.sweep.SweepError` on failure — only the
 ``workers=`` knob is replaced by a coordinator URL, because the fleet
@@ -57,24 +56,18 @@ def submit_sweep(
 ) -> str:
     """Submit a grid; returns the coordinator's sweep id.
 
-    Refuses to submit when the client's ``code_version`` differs from
-    the coordinator's: the pickled point functions would not match the
-    code the fleet runs, and cache keys would lie.
+    The submission carries the client's ``code_version``; the
+    coordinator refuses (409, raised here as :class:`ServiceError`) a
+    mismatched tree before it unpickles any point: the pickled point
+    functions would not match the code the fleet runs, and cache keys
+    would lie.
     """
-    health = request_json(service, "GET", "/healthz")
-    remote_version = health.get("code_version")
-    local_version = code_version()
-    if remote_version != local_version:
-        raise ServiceError(
-            f"code_version mismatch: client {local_version!r} vs "
-            f"coordinator {remote_version!r}; deploy the same tree on "
-            f"both sides before submitting"
-        )
     response = request_json(
         service,
         "POST",
         "/sweeps",
         {
+            "code_version": code_version(),
             "points": encode_payload(list(points)),
             "label": label,
             "use_cache": use_cache,
@@ -167,8 +160,8 @@ def run_sweep_service(
         label / use_cache: as in ``run_sweep`` (the cache lives
             coordinator-side).
         checkpoint_every / max_retries / stall_timeout: per-sweep
-            budgets with :func:`run_sweep_elastic`'s exact semantics,
-            enforced by the coordinator's reaper.
+            budgets with ``run_sweep``'s exact semantics — the
+            coordinator runs the same scheduler core.
         progress_out: path or file-like that receives the
             coordinator's merged progress JSONL verbatim once the sweep
             ends (written before ``SweepError`` is raised on failure,

@@ -11,13 +11,10 @@ up for air mid-shard.  A SIGKILL takes both threads out at once,
 which is exactly the silence the coordinator's heartbeat reaper is
 budgeted for.
 
-Checkpoint resume is the worker's only progress *relay*: when a
-leased shard's ``checkpoint_path`` already exists, the shard is
-resuming from a predecessor's snapshot (:mod:`repro.checkpoint` makes
-the resumed run bit-identical), and the worker posts a
-``point-checkpointed`` event for the coordinator to re-stamp into the
-merged stream.  Everything else — running/retried/done/failed — is
-emitted coordinator-side, where it survives this process's death.
+Everything the merged progress stream records — running, retried,
+checkpointed, done, failed — is emitted coordinator-side, where it
+survives this process's death.  A result that does not pickle is posted
+as a point error, like a raise.
 """
 
 from __future__ import annotations
@@ -141,54 +138,22 @@ def run_worker(
             index = task["index"]
             sweep_id = task["sweep"]
             fn, kwargs = decode_payload(task["payload"])
-            checkpoint_path = task.get("checkpoint_path")
-            if checkpoint_path and os.path.exists(checkpoint_path):
-                # Resuming a predecessor's snapshot: relay the fact so
-                # the merged stream records it (the coordinator
-                # re-stamps seq/t on our behalf).
-                try:
-                    request_json(
-                        coordinator_url,
-                        "POST",
-                        f"/workers/{worker_id}/events",
-                        {
-                            "sweep": sweep_id,
-                            "events": [
-                                {
-                                    "event": "point-checkpointed",
-                                    "index": index,
-                                    "point": task.get("point"),
-                                    "path": checkpoint_path,
-                                }
-                            ],
-                        },
-                    )
-                except (ServiceError, OSError):
-                    pass  # telemetry, not correctness
-
             if verbose:
                 print(
                     f"[repro-worker {worker_id}] running {sweep_id}"
                     f"[{index}] {task.get('point')}",
                     flush=True,
                 )
+            result_body = {"sweep": sweep_id, "index": index}
             try:
                 value, elapsed = _execute(fn, kwargs)
+                result_body.update(
+                    ok=True, value=encode_payload(value), elapsed=elapsed
+                )
             except Exception:
-                result_body = {
-                    "sweep": sweep_id,
-                    "index": index,
-                    "ok": False,
-                    "error": traceback.format_exc(limit=20),
-                }
-            else:
-                result_body = {
-                    "sweep": sweep_id,
-                    "index": index,
-                    "ok": True,
-                    "value": encode_payload(value),
-                    "elapsed": elapsed,
-                }
+                result_body.update(
+                    ok=False, error=traceback.format_exc(limit=20)
+                )
             try:
                 request_json(
                     coordinator_url,

@@ -1,20 +1,22 @@
-"""Parallel sweep execution with result caching.
+"""Sweep execution with result caching.
 
 A *sweep* is a list of independent simulation points — (function,
 kwargs) pairs, typically one per cell of a results table.  Points run
-across a :class:`~concurrent.futures.ProcessPoolExecutor`; results land
-in an on-disk :class:`~repro.runner.cache.ResultCache`, so re-running a
-bench after an unrelated change is effectively free, and editing any
-``repro`` source invalidates everything (see ``cache.code_version``).
+inline or across supervised worker processes, scheduled by one
+:class:`~repro.runner.scheduler.Scheduler`; results land in an on-disk
+:class:`~repro.runner.cache.ResultCache`, so re-running a bench after an
+unrelated change is effectively free, and editing any ``repro`` source
+invalidates everything (see ``cache.code_version``).
 
 Determinism: each point carries its own explicit seed (pin one in the
 kwargs, or derive one with :func:`~repro.runner.seeds.derive_seed`), so
 results are identical regardless of worker count, execution order, or
 whether a value came from the cache.
 
-Point functions must be module-level (picklable by reference) and their
+Point functions must be module-level (picklable by reference), their
 kwargs must have stable ``repr`` (builtins and the config dataclasses
-qualify); both are checked/exercised by the unit tests.
+qualify), and their results must pickle (the cache and the worker
+transports both pickle them); all three are exercised by the unit tests.
 
 Progress streaming: pass ``progress_out=`` (a path, file-like, or
 :class:`~repro.obs.progress.ProgressStream`) and the sweep emits a
@@ -28,13 +30,10 @@ produces the same rollup-ready stream as a cold one.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.progress import ProgressStream, as_progress_stream
 from repro.runner.cache import ResultCache, default_cache_dir
 
 
@@ -123,7 +122,7 @@ class SweepReport:
     workers: int
     elapsed: float
     cache_dir: Optional[str]
-    #: Worker-death/stall retries performed (elastic sweeps only).
+    #: Worker-death/stall retries performed (worker pools only).
     retries: int = 0
 
     @property
@@ -203,83 +202,15 @@ def _label_str(point: SweepPoint) -> str:
     return repr(label)
 
 
-def _emit_outcome(
-    progress: Optional[ProgressStream],
-    index: int,
-    outcome: PointOutcome,
-    worker: Optional[int] = None,
-) -> None:
-    """``point-done`` (+ ``point-metrics``) for one completed point.
-
-    Called for cache hits too: replaying a hit's cached ``WithMetrics``
-    payload into the stream is what keeps reports complete on warm
-    caches — without it, a fully cached sweep would stream no telemetry
-    at all.
-    """
-    if progress is None:
-        return
-    point = _label_str(outcome.point)
-    done: Dict[str, Any] = {
-        "index": index,
-        "point": point,
-        "cached": outcome.cached,
-        "elapsed": outcome.elapsed,
-    }
-    if worker is not None:
-        done["worker"] = worker
-    progress.emit("point-done", **done)
-    if outcome.metrics is not None:
-        progress.emit(
-            "point-metrics",
-            index=index,
-            point=point,
-            cached=outcome.cached,
-            metrics=outcome.metrics,
-        )
-
-
-def _emit_manifest(
-    progress: Optional[ProgressStream],
-    points: Sequence[SweepPoint],
-    workers: int,
-    cache: Optional[ResultCache],
-    elastic: bool,
-) -> None:
-    """The ``sweep-begin`` run manifest + one ``point-queued`` each."""
-    if progress is None:
-        return
-    progress.emit(
-        "sweep-begin",
-        n_points=len(points),
-        workers=workers,
-        elastic=elastic,
-        cache_dir=str(cache.directory) if cache is not None else None,
-        code_version=cache.version if cache is not None else None,
-        points=[_label_str(p) for p in points],
-    )
-    for i, point in enumerate(points):
-        progress.emit("point-queued", index=i, point=_label_str(point))
-
-
 def _execute(
     fn: Callable[..., Any], kwargs: Dict[str, Any]
 ) -> Tuple[Any, float]:
-    # Module-level so the pool can pickle it by reference.  Timing lives
-    # here, in the worker, so a parallel point's elapsed reflects its own
-    # run time rather than how long the caller waited on earlier futures.
+    # Every transport runs points through here.  Timing lives here, in
+    # the worker, so a parallel point's elapsed reflects its own run
+    # time rather than how long the supervisor took to collect it.
     t0 = time.perf_counter()
     value = fn(**kwargs)
     return value, time.perf_counter() - t0
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    # fork keeps already-imported bench modules importable in workers
-    # (their functions pickle by reference); fall back where unavailable.
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
 def run_sweep(
@@ -290,13 +221,19 @@ def run_sweep(
     label: str = "sweep",
     verbose: bool = False,
     progress_out: Optional[Any] = None,
+    checkpoint_every: int = 0,
+    checkpoint_dir: Optional[str] = None,
+    max_retries: int = 2,
+    stall_timeout: Optional[float] = None,
 ) -> SweepReport:
-    """Run every point, in parallel, consulting/filling the result cache.
+    """Run every point, consulting/filling the result cache.
 
     Args:
         points: the sweep cells; order is preserved in the report.
-        workers: process count; ``None`` / ``1`` runs inline (no pool),
-            which is also the fallback if a pool cannot be created.
+        workers: process count; ``None`` / ``1`` runs inline, in this
+            process.  More run on a supervised pool of worker processes
+            (:mod:`repro.runner.elastic`): dead or stalled workers are
+            replaced and their shards retried.
         cache_dir: result cache directory; ``None`` uses
             :func:`~repro.runner.cache.default_cache_dir`.
         use_cache: set False to force re-execution (cache is not read
@@ -306,220 +243,100 @@ def run_sweep(
         progress_out: path, file-like, or ProgressStream for the JSONL
             lifecycle event stream (None = off); see
             :mod:`repro.obs.progress`.
+        checkpoint_every: cycle interval for per-shard machine
+            checkpoints (0 = off), applied to point functions that
+            accept ``checkpoint_every``/``checkpoint_path`` kwargs; a
+            retried shard resumes from its last checkpoint.
+        checkpoint_dir: where shard checkpoints live; a temporary
+            directory when omitted.
+        max_retries: how many times one shard may be retried after a
+            worker death or stall before the sweep fails.
+        stall_timeout: seconds a shard may hold a worker before it is
+            presumed hung and its worker killed (None = no stall check).
 
     Raises:
-        SweepError: if any point raises; the original exception chains.
+        SweepError: a point raised (the original exception chains on
+            inline runs), or a shard exhausted its retries.
     """
-    started = time.perf_counter()
+    n_workers = 1 if workers is None else max(1, int(workers))
+    return _run(
+        points,
+        n_workers,
+        n_workers > 1,
+        cache_dir=cache_dir,
+        use_cache=use_cache,
+        label=label,
+        verbose=verbose,
+        progress_out=progress_out,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        max_retries=max_retries,
+        stall_timeout=stall_timeout,
+    )
+
+
+def _run(
+    points: Sequence[SweepPoint],
+    workers: int,
+    pooled: bool,
+    cache_dir: Optional[Any] = None,
+    use_cache: bool = True,
+    label: str = "sweep",
+    verbose: bool = False,
+    progress_out: Optional[Any] = None,
+    checkpoint_every: int = 0,
+    checkpoint_dir: Optional[str] = None,
+    max_retries: int = 2,
+    stall_timeout: Optional[float] = None,
+) -> SweepReport:
+    """One local sweep: the scheduler core plus the inline transport, or
+    plus the pipe pool when ``pooled``."""
+    from repro.runner.elastic import run_pool
+    from repro.runner.scheduler import Scheduler
+
     cache = (
         ResultCache(cache_dir if cache_dir is not None else default_cache_dir())
         if use_cache
         else None
     )
-    n_workers = 1 if workers is None else max(1, int(workers))
-    progress = as_progress_stream(progress_out, label)
-    _emit_manifest(progress, points, n_workers, cache, elastic=False)
-
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[int] = []
-    #: Indices with a point-running emitted but no terminal event yet;
-    #: closed with point-failed on any abort so the
-    #: one-terminal-event-per-point invariant (docs/observability.md)
-    #: holds on failure paths too.
-    open_points: set = set()
-    try:
-        for i, point in enumerate(points):
-            if cache is not None:
-                hit, value = cache.get(cache.key_for(point.fn, point.kwargs))
-                if hit:
-                    value, metrics = _unwrap(value)
-                    outcomes[i] = PointOutcome(
-                        point, value, cached=True, elapsed=0.0, metrics=metrics
-                    )
-                    _emit_outcome(progress, i, outcomes[i])
-                    if verbose:
-                        print(f"[sweep {label}] {point.label}: cached")
-                    continue
-            pending.append(i)
-
-        if pending:
-            if n_workers == 1 or len(pending) == 1:
-                for i in pending:
-                    open_points.add(i)
-                    if progress is not None:
-                        progress.emit(
-                            "point-running",
-                            index=i,
-                            point=_label_str(points[i]),
-                        )
-                    try:
-                        outcomes[i] = _run_one(
-                            points[i], cache, label, verbose, progress, i
-                        )
-                    except SweepError:
-                        # _run_one already emitted this point's terminal
-                        # point-failed; keep it out of the abort closer.
-                        open_points.discard(i)
-                        raise
-                    _emit_outcome(progress, i, outcomes[i])
-                    open_points.discard(i)
-            else:
-                with _pool(min(n_workers, len(pending))) as pool:
-                    index_of = {
-                        pool.submit(
-                            _execute, points[i].fn, points[i].kwargs
-                        ): i
-                        for i in pending
-                    }
-                    if progress is not None:
-                        for i in index_of.values():
-                            progress.emit(
-                                "point-running",
-                                index=i,
-                                point=_label_str(points[i]),
-                            )
-                    # Collect in completion order, not submission order:
-                    # point-done timing is honest, and the first failure
-                    # can cancel work that has not started yet.  Every
-                    # dispatched point still gets exactly one terminal
-                    # event (point-done or point-failed) before the
-                    # sweep-end — in-flight points finish and report,
-                    # cancelled ones fail explicitly, instead of dying
-                    # silently inside the pool's __exit__.
-                    first_failure: Optional[Tuple[int, BaseException]] = None
-                    open_points.update(index_of.values())
-                    for future in as_completed(index_of):
-                        i = index_of[future]
-                        point = points[i]
-                        try:
-                            value, elapsed = future.result()
-                        except CancelledError:
-                            open_points.discard(i)
-                            if progress is not None:
-                                progress.emit(
-                                    "point-failed",
-                                    index=i,
-                                    point=_label_str(point),
-                                    error="cancelled: sweep aborted",
-                                )
-                        except Exception as exc:
-                            open_points.discard(i)
-                            if progress is not None:
-                                progress.emit(
-                                    "point-failed",
-                                    index=i,
-                                    point=_label_str(point),
-                                    error=str(exc),
-                                )
-                            if first_failure is None:
-                                first_failure = (i, exc)
-                                for other in index_of:
-                                    other.cancel()
-                        else:
-                            outcomes[i] = _record(
-                                point, value, elapsed, cache, label, verbose
-                            )
-                            _emit_outcome(progress, i, outcomes[i])
-                            open_points.discard(i)
-                    if first_failure is not None:
-                        i, exc = first_failure
-                        raise SweepError(
-                            f"sweep {label!r} point {points[i].label!r} "
-                            f"failed: {exc}"
-                        ) from exc
-
-        done: List[PointOutcome] = [o for o in outcomes if o is not None]
-        assert len(done) == len(points)
-        report = SweepReport(
-            label=label,
-            outcomes=done,
-            workers=n_workers,
-            elapsed=time.perf_counter() - started,
-            cache_dir=str(cache.directory) if cache is not None else None,
-        )
-        if progress is not None:
-            progress.emit(
-                "sweep-end",
-                status="ok",
-                n_points=len(points),
-                cache_hits=report.cache_hits,
-                executed=report.executed,
-                retries=0,
-                elapsed=report.elapsed,
-            )
-    except BaseException as exc:
-        # Close any trail the failure path itself did not terminate
-        # (e.g. KeyboardInterrupt mid-pool) before the terminal
-        # sweep-end: consumers may trust that a failed stream still
-        # carries exactly one terminal event per dispatched point.
-        if progress is not None:
-            for i in sorted(open_points):
-                progress.emit(
-                    "point-failed",
-                    index=i,
-                    point=_label_str(points[i]),
-                    error=f"aborted: sweep {label!r} failed",
-                )
-        open_points.clear()
-        if progress is not None:
-            progress.emit(
-                "sweep-end",
-                status="failed",
-                error=str(exc),
-                elapsed=time.perf_counter() - started,
-            )
-        raise
-    finally:
-        if progress is not None and progress is not progress_out:
-            progress.close()
-    if verbose:
-        print(report.summary())
-    return report
-
-
-def _run_one(
-    point: SweepPoint,
-    cache: Optional[ResultCache],
-    label: str,
-    verbose: bool,
-    progress: Optional[ProgressStream] = None,
-    index: int = -1,
-) -> PointOutcome:
-    try:
-        value, elapsed = _execute(point.fn, point.kwargs)
-    except Exception as exc:
-        if progress is not None:
-            progress.emit(
-                "point-failed",
-                index=index,
-                point=_label_str(point),
-                error=str(exc),
-            )
-        raise SweepError(
-            f"sweep {label!r} point {point.label!r} failed: {exc}"
-        ) from exc
-    return _record(point, value, elapsed, cache, label, verbose)
-
-
-def _record(
-    point: SweepPoint,
-    value: Any,
-    elapsed: float,
-    cache: Optional[ResultCache],
-    label: str,
-    verbose: bool,
-) -> PointOutcome:
-    if cache is not None:
-        # The wrapped WithMetrics pair (when present) is what's cached,
-        # so a later hit restores the telemetry too.
-        cache.put(
-            cache.key_for(point.fn, point.kwargs),
-            value,
-            meta={"label": label, "point": repr(point.label)},
-        )
-    if verbose:
-        print(f"[sweep {label}] {point.label}: executed in {elapsed:.2f}s")
-    value, metrics = _unwrap(value)
-    return PointOutcome(
-        point, value, cached=False, elapsed=elapsed, metrics=metrics
+    core = Scheduler(
+        points,
+        label=label,
+        cache=cache,
+        progress_out=progress_out,
+        workers=workers,
+        pooled=pooled,
+        max_retries=max_retries,
+        stall_timeout=stall_timeout,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        verbose=verbose,
     )
+    try:
+        if pooled:
+            run_pool(core, workers)
+        else:
+            _run_inline(core)
+    except BaseException as exc:
+        core.abort(str(exc))
+        raise
+    if core.status == "failed":
+        raise SweepError(core.error)
+    if verbose:
+        print(core.report.summary())
+    return core.report
+
+
+def _run_inline(core) -> None:
+    """The inline transport: one pseudo-worker, this process."""
+    core.join(None)
+    index = core.assign(None)
+    while index is not None:
+        fn, kwargs = core.tasks[index]
+        try:
+            value, elapsed = _execute(fn, kwargs)
+        except Exception as exc:
+            core.point_error(None, index, str(exc))
+            raise SweepError(core.error) from exc
+        core.result(None, index, value, elapsed)
+        index = core.assign(None)
